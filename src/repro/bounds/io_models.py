@@ -24,13 +24,13 @@ __all__ = [
 ]
 
 
-def tiled_classical_io_model(n: int, M: int, tile: int | None = None) -> int:
+def tiled_classical_io_model(n: int, M: int) -> int:
     """Exact I/O of :func:`repro.execution.classical_tiled.execute_tiled`.
 
     Loop order (i,j,k) with the C tile resident: reads = 2(n/b)³·b²,
-    writes = (n/b)²·b² = n².
+    writes = (n/b)²·b² = n², with b = ``largest_tile(n, M)``.
     """
-    b = tile if tile is not None else largest_tile(n, M)
+    b = largest_tile(n, M)
     q = n // b
     reads = 2 * q ** 3 * b * b
     writes = q * q * b * b

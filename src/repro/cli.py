@@ -235,7 +235,8 @@ def _fmt_x(x: float):
 def _cmd_sweep(args) -> int:
     from repro.analysis.report import text_table
     from repro.engine import run_sweep, seq_io_point
-    from repro.engine.runners import hybrid_point, reference_exponent
+    from repro.engine.runners import hybrid_point, reference_exponent, resolve_algorithm
+    from repro.execution.plan import seq_io_plan
 
     alg = None if args.algorithm == "classical" else args.algorithm
     try:
@@ -264,6 +265,15 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
+    # Build every point's plan before dispatch: a size the recursion
+    # cannot divide, or an M that cannot hold it, is a usage error.
+    live = resolve_algorithm(alg)
+    for n in args.sizes:
+        try:
+            seq_io_plan(live, n, args.M, cutoff=args.hybrid_cutoff, leaf=args.leaf)
+        except (ValueError, MemoryError) as exc:
+            print(f"sweep: n={n}, M={args.M}: {exc}", file=sys.stderr)
+            return 2
     res = run_sweep(points, _engine_config(args), parameter="n")
     if args.json:
         payload = res.to_dict()

@@ -236,14 +236,26 @@ def hybrid_point(
     be a bilinear algorithm reference (any zoo entry); ``backend`` routes
     through :func:`repro.schedule.run` and is omitted from params when
     None (cache-key stable), like ``seq_io``.
+
+    A cutoff past ``hybrid_depth(alg, n, M)`` runs the same execution as
+    the depth itself, so it is clamped there: equivalent requests share
+    one cache key.
     """
     if alg is None or alg == "karstadt_schwartz":
         raise ValueError("hybrid points need a plain bilinear algorithm")
+    from repro.execution.hybrid import hybrid_depth
+
+    cutoff = int(cutoff)
+    try:
+        live = alg if hasattr(alg, "U") else resolve_algorithm(alg)
+        cutoff = min(cutoff, hybrid_depth(live, n, M))
+    except (KeyError, ValueError):
+        pass  # not a valid recursion: the point fails as requested
     params = {
         "alg": algorithm_spec(alg),
         "n": int(n),
         "M": int(M),
-        "cutoff": int(cutoff),
+        "cutoff": cutoff,
         "seed": int(seed),
         "replay": bool(replay),
         "leaf": str(leaf),
@@ -416,99 +428,93 @@ def _effective_dim(alg, n: int) -> float:
     return float((R * K * C) ** (1.0 / 3.0))
 
 
-def _run_seq_io(params: dict) -> dict:
-    from repro.machine.sequential import SequentialMachine
-
-    alg = resolve_algorithm(params["alg"])
-    n, M, seed = params["n"], params["M"], params["seed"]
-    replay = bool(params.get("replay", False))
-    bound = _seq_io_bound(params, alg)
-    is_bilinear = alg is not None and params["alg"] != "karstadt_schwartz"
-    n_eff = _effective_dim(alg, n) if is_bilinear else float(n)
+def _count_seq_io(params: dict, alg, replay: bool, cutoff=None, leaf="tiled"):
+    """(counts, ABMM phases) of one seq_io or hybrid point: through the
+    schedule backend named in ``params``, or on the physical machine, where
+    full executions assert ``C == A @ B``."""
+    n, M = params["n"], params["M"]
     backend = params.get("backend")
     if backend:
         from repro import schedule as _schedule
 
-        report = _schedule.run(
-            _schedule.seq_io_schedule(alg, n, M, replay=replay), backend=backend
-        )
-        metrics = {
-            "io": float(report.io),
-            "reads": int(report.reads),
-            "writes": int(report.writes),
-            "peak_fast": int(report.peak_fast),
-            "io_cost": float(report.io),
-            "bound": float(bound),
-            "n_eff": float(n_eff),
-        }
-        metrics.update(
-            {
-                k: float(v)
-                for k, v in report.metrics.items()
-                if k.startswith("io_transform") or k in (
-                    "io_bilinear", "io_total", "transform_fraction"
-                )
-            }
-        )
-        return metrics
-    rng = np.random.default_rng(seed)
-    if is_bilinear and not getattr(alg, "is_square", True):
+        report = _schedule.run(_schedule.seq_io_schedule(
+            alg, n, M, replay=replay, cutoff=cutoff, leaf=leaf), backend=backend)
+        reads, writes, peak, io_cost = report.reads, report.writes, report.peak_fast, report.io
+        phases = {k: v for k, v in report.metrics.items() if k in _ABMM_PHASES}
+    else:
         from repro.algorithms.bilinear import recursion_shape
+        from repro.machine.sequential import SequentialMachine
 
-        R, K, C_cols = recursion_shape(alg, n)
+        rng = np.random.default_rng(params["seed"])
+        R, K, C_cols = recursion_shape(alg, n) if hasattr(alg, "U") else (n, n, n)
         A = rng.standard_normal((R, K))
         B = rng.standard_normal((K, C_cols))
-    else:
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal((n, n))
-    machine = SequentialMachine(M)
-    phases: dict = {}
-    if alg is None:
-        from repro.execution.classical_tiled import execute_tiled
+        machine = SequentialMachine(M)
+        phases = {}
+        if cutoff is not None:
+            from repro.execution.hybrid import execute_hybrid
 
-        C = execute_tiled(machine, A, B, replay=replay)
-    elif params["alg"] == "karstadt_schwartz":
-        from repro.execution.abmm_exec import execute_abmm
+            C = execute_hybrid(machine, alg, A, B, cutoff, leaf=leaf, level_replay=replay)
+        elif alg is None:
+            from repro.execution.classical_tiled import execute_tiled
 
-        C, phases = execute_abmm(machine, alg, A, B, level_replay=replay)
-    else:
-        from repro.execution.recursive_bilinear import execute_recursive_bilinear
+            C = execute_tiled(machine, A, B, replay=replay)
+        elif params["alg"] == "karstadt_schwartz":
+            from repro.execution.abmm_exec import execute_abmm
 
-        C = execute_recursive_bilinear(machine, alg, A, B, level_replay=replay)
-    # replay mode skips computing C by design; otherwise verify the product.
-    if C is not None and not np.allclose(C, A @ B):
-        raise AssertionError(f"wrong product at n={n}")
-    stats = machine.stats()
-    metrics = {
-        "io": float(machine.io_operations),
-        "reads": int(machine.words_read),
-        "writes": int(machine.words_written),
-        "peak_fast": int(machine.peak_fast_words),
-        "io_cost": float(stats["io_cost"]),
-        "bound": float(bound),
-        "n_eff": float(n_eff),
+            C, phases = execute_abmm(machine, alg, A, B, level_replay=replay)
+        else:
+            from repro.execution.recursive_bilinear import execute_recursive_bilinear
+
+            C = execute_recursive_bilinear(machine, alg, A, B, level_replay=replay)
+        # replay mode skips computing C by design; otherwise verify the product.
+        if C is not None and not np.allclose(C, A @ B):
+            raise AssertionError(f"wrong product at n={n}")
+        reads, writes, peak = machine.words_read, machine.words_written, machine.peak_fast_words
+        io_cost = machine.stats()["io_cost"]
+    counts = {
+        "io": float(reads + writes),
+        "reads": int(reads),
+        "writes": int(writes),
+        "peak_fast": int(peak),
+        "io_cost": float(io_cost),
     }
-    metrics.update({k: float(v) for k, v in phases.items()})
-    return metrics
+    return counts, {k: float(v) for k, v in phases.items()}
+
+
+_ABMM_PHASES = ("io_transform_forward", "io_transform_inverse", "io_bilinear",
+                "io_total", "transform_fraction")
+
+
+def _run_seq_io(params: dict) -> dict:
+    alg = resolve_algorithm(params["alg"])
+    is_bilinear = alg is not None and params["alg"] != "karstadt_schwartz"
+    counts, phases = _count_seq_io(params, alg, bool(params.get("replay", False)))
+    return {
+        **counts,
+        "bound": float(_seq_io_bound(params, alg)),
+        "n_eff": _effective_dim(alg, params["n"]) if is_bilinear else float(params["n"]),
+        **phases,
+    }
 
 
 def _run_hybrid(params: dict) -> dict:
+    from repro.bounds.formulas import classical_sequential, fast_sequential
     from repro.execution.hybrid import hybrid_depth
-    from repro.machine.sequential import SequentialMachine
 
     alg = resolve_algorithm(params["alg"])
     if alg is None:
         raise ValueError("hybrid points need a bilinear algorithm")
-    n, M, seed = params["n"], params["M"], params["seed"]
+    n, M = params["n"], params["M"]
     cutoff = int(params["cutoff"])
-    leaf = str(params.get("leaf", "tiled"))
-    replay = bool(params.get("replay", True))
     n_eff = _effective_dim(alg, n)
-    from repro.bounds.formulas import classical_sequential, fast_sequential
-
     bound_fast = fast_sequential(n_eff, M, alg.omega0)
     bound_classical = classical_sequential(n_eff, M)
-    base = {
+    depth = hybrid_depth(alg, n, M)
+    counts, _ = _count_seq_io(params, alg, bool(params.get("replay", True)),
+                              cutoff, str(params.get("leaf", "tiled")))
+    return {
+        **counts,
         # the weaker of the two pure floors: a conservative reference line
         # any hybrid obeys (De Stefani's exact hybrid bound interpolates
         # between them with the cutoff).
@@ -517,45 +523,7 @@ def _run_hybrid(params: dict) -> dict:
         "bound_classical": float(bound_classical),
         "n_eff": float(n_eff),
         "cutoff": float(cutoff),
-        "depth": float(hybrid_depth(alg, n, M)),
-    }
-    backend = params.get("backend")
-    if backend:
-        from repro import schedule as _schedule
-
-        report = _schedule.run(
-            _schedule.seq_io_schedule(
-                alg, n, M, replay=replay, cutoff=cutoff, leaf=leaf
-            ),
-            backend=backend,
-        )
-        return {
-            "io": float(report.io),
-            "reads": int(report.reads),
-            "writes": int(report.writes),
-            "peak_fast": int(report.peak_fast),
-            "io_cost": float(report.io),
-            **base,
-        }
-    from repro.algorithms.bilinear import recursion_shape
-    from repro.execution.hybrid import execute_hybrid
-
-    rng = np.random.default_rng(seed)
-    R, K, C_cols = recursion_shape(alg, n)
-    A = rng.standard_normal((R, K))
-    B = rng.standard_normal((K, C_cols))
-    machine = SequentialMachine(M)
-    C = execute_hybrid(machine, alg, A, B, cutoff, leaf=leaf, level_replay=replay)
-    if C is not None and not np.allclose(C, A @ B):
-        raise AssertionError(f"wrong product at n={n}")
-    stats = machine.stats()
-    return {
-        "io": float(machine.io_operations),
-        "reads": int(machine.words_read),
-        "writes": int(machine.words_written),
-        "peak_fast": int(machine.peak_fast_words),
-        "io_cost": float(stats["io_cost"]),
-        **base,
+        "depth": float(depth),
     }
 
 

@@ -19,7 +19,10 @@ parallel max{·,·} crosses over), and shape needs both sides.
 * :func:`execute_parallel_bfs` / :func:`parallel_classical_summa` —
   distributed executions on the BSP machine for the parallel bounds.
 
-All of these also run behind the unified facade
+The four sequential executions are thin wrappers over one recursion
+plan (:mod:`repro.execution.plan`), which the Schedule IR lowering and
+the symbolic backend interpret too.  All of these also run behind the
+unified facade
 :func:`repro.schedule.run` (backends "reference", "vector", "symbolic");
 the pre-redesign names (``tiled_matmul``, ``naive_matmul_lru_trace``,
 ``recursive_fast_matmul``, ``abmm_machine_multiply``,

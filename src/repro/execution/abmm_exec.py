@@ -14,10 +14,8 @@ import warnings
 import numpy as np
 
 from repro.basis.abmm import AlternativeBasisAlgorithm
-from repro.basis.transform import invert_base_transform
-from repro.execution.recursive_bilinear import stream_linear_combination
+from repro.execution import plan as _plan
 from repro.machine.sequential import SequentialMachine
-from repro.util.checks import check_power_of_two
 
 __all__ = ["machine_basis_transform", "execute_abmm", "abmm_machine_multiply"]
 
@@ -36,44 +34,8 @@ def machine_basis_transform(
     ``phi``, writing into a fresh slow array; each level moves Θ(n²) words,
     and there are log₂(n/stop_size) levels.
     """
-    check_power_of_two(n, "n")
-    phi = np.asarray(phi)
-    d = 2
-    cur = src_name
-    level = 0
-    s = n
-    while s > stop_size and s >= d:
-        h = s // d
-        nxt = f"{dst_name}._lvl{level}"
-        machine.alloc_slow(nxt, (n, n))
-        blocks_per_side = n // s
-        for bi in range(blocks_per_side):
-            for bj in range(blocks_per_side):
-                base_r, base_c = bi * s, bj * s
-                for q2 in range(d * d):
-                    sources = [
-                        (
-                            cur,
-                            base_r + (q // d) * h,
-                            base_c + (q % d) * h,
-                            float(phi[q2, q]),
-                        )
-                        for q in np.nonzero(phi[q2])[0]
-                    ]
-                    stream_linear_combination(
-                        machine,
-                        sources,
-                        (nxt, base_r + (q2 // d) * h, base_c + (q2 % d) * h),
-                        h,
-                    )
-        if cur != src_name:
-            machine.drop_slow(cur)
-        cur = nxt
-        s = h
-        level += 1
-    machine.slow[dst_name] = machine.slow[cur]
-    if cur != dst_name and cur != src_name:
-        machine.drop_slow(cur)
+    transform = _plan.transform_plan(phi, n, stop_size, machine.M)
+    _plan.run_transform(machine, transform, src_name, dst_name)
 
 
 def execute_abmm(
@@ -100,39 +62,8 @@ def execute_abmm(
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    n = A.shape[0]
-    stop = n
-    while stop > 1 and (3 * stop * stop > machine.M or (base_size and stop > base_size)):
-        stop //= 2
-    if 3 * stop * stop > machine.M:
-        raise MemoryError(f"M={machine.M} cannot hold even a {stop}×{stop} base case")
-    machine.place_input("A_orig", A)
-    machine.place_input("B_orig", B)
-
-    io0 = machine.io_operations
-    machine_basis_transform(machine, "A_orig", "A", n, alt.phi, stop)
-    machine_basis_transform(machine, "B_orig", "B", n, alt.psi, stop)
-    io_fwd = machine.io_operations - io0
-
-    from repro.execution.recursive_bilinear import _mult  # shared recursion
-
-    _mult(machine, alt.core, "A", "B", "C_t", (n, n, n), stop, "r", replay=level_replay)
-    io_bilinear = machine.io_operations - io0 - io_fwd
-
-    nu_inv = invert_base_transform(alt.nu)
-    machine_basis_transform(machine, "C_t", "C", n, nu_inv, stop)
-    io_inv = machine.io_operations - io0 - io_fwd - io_bilinear
-
-    C = None if level_replay else machine.fetch_output("C")
-    return C, {
-        "io_transform_forward": float(io_fwd),
-        "io_bilinear": float(io_bilinear),
-        "io_transform_inverse": float(io_inv),
-        "io_total": float(io_fwd + io_bilinear + io_inv),
-        "transform_fraction": float(
-            (io_fwd + io_inv) / max(1.0, io_fwd + io_bilinear + io_inv)
-        ),
-    }
+    plan = _plan.abmm_plan(alt, A.shape[0], machine.M, base_size)
+    return _plan.run_plan(machine, plan, A, B, level_replay)
 
 
 def abmm_machine_multiply(*args, **kwargs):

@@ -27,6 +27,7 @@ import warnings
 
 import numpy as np
 
+from repro.execution.plan import largest_leaf_tile, run_plan, tiled_plan
 from repro.machine.cache import LRUCache
 from repro.machine.sequential import SequentialMachine
 
@@ -38,37 +39,28 @@ __all__ = [
     "naive_matmul_lru_trace",
 ]
 
-#: Fast-memory tiles a blocked multiply holds at once: A, B, C and the
-#: charged product scratch P (see module docstring).
-TILE_FOOTPRINT = 4
-
-
 def largest_tile(n: int, M: int) -> int:
     """Largest tile side b dividing n with 4b² ≤ M (at least 1).
 
-    The 4 is :data:`TILE_FOOTPRINT`: the true peak of the execution is
-    A-tile + B-tile + C-tile + product scratch.  (Before the accounting
-    fix this tested 3b² ≤ M and the product tile ran uncharged.)
+    The 4 is :data:`repro.execution.plan.TILE_FOOTPRINT`: the true peak of the execution is
+    A-tile + B-tile + C-tile + product scratch.
     """
-    best = 1
-    for b in range(1, n + 1):
-        if n % b == 0 and TILE_FOOTPRINT * b * b <= M:
-            best = b
-    return best
+    return largest_leaf_tile((n, n, n), M)
 
 
 def execute_tiled(
     machine: SequentialMachine,
     A: np.ndarray,
     B: np.ndarray,
-    tile: int | None = None,
     replay: bool = False,
 ) -> np.ndarray | None:
     """Blocked classical matmul with explicit tile transfers.
 
     Loop order (i, j, k) keeps the C-tile resident across the k loop, so
     each C-tile is loaded/stored once: I/O = 2(n/b)³b² + (n/b)²b²
-    (C allocate+store) — the classical upper bound.
+    (C allocate+store) — the classical upper bound.  The tile side is
+    :func:`largest_tile`; the execution is the ``tiled`` leaf of
+    :mod:`repro.execution.plan` applied to the whole problem.
 
     ``replay=True`` executes only the first of the (n/b)² identical
     C-tile passes and scales the counters by the remaining count
@@ -81,44 +73,8 @@ def execute_tiled(
     n = A.shape[0]
     if A.shape != (n, n) or B.shape != (n, n):
         raise ValueError("square, same-shaped operands required")
-    b = tile if tile is not None else largest_tile(n, machine.M)
-    if n % b != 0 or TILE_FOOTPRINT * b * b > machine.M:
-        raise ValueError(f"invalid tile size {b} for n={n}, M={machine.M}")
-    machine.place_input("A", A)
-    machine.place_input("B", B)
-    machine.place_input("C", np.zeros((n, n)))
-    q = n // b
-    p_tile = machine.allocate("Pt", (b, b))  # charged product scratch
-    pass_reads = pass_writes = None
-    for i in range(q):
-        for j in range(q):
-            if replay and pass_reads is not None:
-                machine.charge_replayed_io(pass_reads, pass_writes, 1, label="Ct")
-                continue
-            r0, w0 = machine.words_read, machine.words_written
-            c_tile = machine.allocate("Ct", (b, b))
-            for k in range(q):
-                a = machine.load_slice(
-                    "A", np.s_[i * b : (i + 1) * b, k * b : (k + 1) * b], "At",
-                    copy=False,
-                )
-                bt = machine.load_slice(
-                    "B", np.s_[k * b : (k + 1) * b, j * b : (j + 1) * b], "Bt",
-                    copy=False,
-                )
-                with machine.compute():
-                    np.matmul(a, bt, out=p_tile)
-                    np.add(c_tile, p_tile, out=c_tile)
-                machine.free("At")
-                machine.free("Bt")
-            machine.store_slice("Ct", "C", np.s_[i * b : (i + 1) * b, j * b : (j + 1) * b])
-            machine.free("Ct")
-            pass_reads = machine.words_read - r0
-            pass_writes = machine.words_written - w0
-    machine.free("Pt")
-    if replay:
-        return None
-    return machine.fetch_output("C")
+    C, _ = run_plan(machine, tiled_plan(n, machine.M), A, B, replay)
+    return C
 
 
 def _naive_trace_addresses(n: int, rows: range) -> tuple[np.ndarray, np.ndarray]:

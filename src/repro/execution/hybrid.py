@@ -7,10 +7,10 @@ cutoff ℓ and in *leading constants*, not exponents — Smith et al.
 (arXiv:1702.02017) pin the classical constant at 2n³/√M, which the
 ``resident`` leaf below attains up to an O(1/√M) factor.
 
-:func:`execute_hybrid` mirrors
+:func:`execute_hybrid` runs the recursion of
 :func:`~repro.execution.recursive_bilinear.execute_recursive_bilinear`
-exactly for ``level < cutoff`` (streamed encoders, DFS, streamed decoder,
-the same level-replay charging) and switches to a classical leaf at
+for ``level < cutoff`` (streamed encoders, DFS, streamed decoder, the
+same level-replay charging) and switches to a classical leaf at
 ``level == cutoff``:
 
 * ``leaf="tiled"`` — the rectangular generalization of
@@ -25,321 +25,32 @@ the same level-replay charging) and switches to a classical leaf at
   tiled leaf's 4.
 
 The other anchor: once ``cutoff ≥`` :func:`hybrid_depth` every path hits
-the cache-fit base case (R·K + K·C + R·C ≤ M) *before* the cutoff, and the
-execution is word-identical to ``execute_recursive_bilinear``.  The
-cache-fit check deliberately precedes the cutoff check — a sub-problem
-that fits entirely in fast memory is solved in one pass no matter the
-strategy — so ``cutoff=0`` equals the pure tiled execution exactly when
-the top problem does not fit in fast memory (3n² > M; below that every
-strategy degenerates to the same single pass, modulo tile scratch).
+the cache-fit base case (R·K + K·C + R·C ≤ M) *before* the cutoff — the
+fit check precedes the cutoff check — and the execution is word-identical
+to ``execute_recursive_bilinear``.
 
-All of this is threaded through the Schedule IR: ``seq_io`` variant
-``hybrid`` lowers op-for-op (``repro.schedule.lower._lower_hybrid``) and
-has a symbolic closed form memoized on (shape, remaining levels)
-(``repro.schedule.symbolic._hybrid_costs``), certified word-identical by
-the falsify hybrid probes.
+The hybrid is :func:`repro.execution.plan.recursion_plan` with a
+``cutoff``; the same plan flattens to Schedule IR (``seq_io`` variant
+``hybrid``) and folds into the symbolic backend's closed form.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 
 from repro.algorithms.bilinear import BilinearAlgorithm
-from repro.execution.classical_tiled import TILE_FOOTPRINT
-from repro.execution.recursive_bilinear import (
-    _is_base,
-    _split_shape,
-    stream_linear_combination,
-)
+from repro.execution import plan as _plan
+from repro.execution.plan import HYBRID_LEAVES, hybrid_depth, largest_leaf_tile, resident_block
+from repro.execution.recursive_bilinear import _operands
 from repro.machine.sequential import SequentialMachine
 
 __all__ = [
     "execute_hybrid",
     "hybrid_depth",
-    "validate_hybrid_shapes",
     "largest_leaf_tile",
     "resident_block",
     "HYBRID_LEAVES",
 ]
-
-#: Classical leaf schemes: ``tiled`` (4-tile blocked, the execute_tiled
-#: mirror) and ``resident`` (Smith et al. resident-C rank-1 streaming).
-HYBRID_LEAVES = ("tiled", "resident")
-
-
-def largest_leaf_tile(shape: tuple[int, int, int], M: int) -> int:
-    """Largest tile side b dividing all of (R, K, C) with 4b² ≤ M.
-
-    Reduces to :func:`~repro.execution.classical_tiled.largest_tile` on a
-    square shape — the ``cutoff=0`` word-identity anchor.
-    """
-    R, K, C = shape
-    g = gcd(gcd(R, K), C)
-    best = 1
-    for b in range(1, g + 1):
-        if g % b == 0 and TILE_FOOTPRINT * b * b <= M:
-            best = b
-    return best
-
-
-def resident_block(R: int, C: int, M: int) -> tuple[int, int]:
-    """(block side b, column-chunk width cw) of the resident-C leaf.
-
-    b is the largest divisor of gcd(R, C) whose minimal footprint
-    (b+1)² = b² (C-block) + b (A-column) + 1 (B-row chunk) + b (product
-    chunk) fits in M; cw then takes whatever budget remains, capping the
-    per-update product scratch at b·cw words.
-    """
-    g = gcd(R, C)
-    best = 1
-    for b in range(1, g + 1):
-        if g % b == 0 and (b + 1) * (b + 1) <= M:
-            best = b
-    if (best + 1) * (best + 1) > M:
-        raise ValueError(f"invalid resident block {best} for M={M}")
-    cw = min(best, max(1, (M - best * best - best) // (best + 1)))
-    return best, cw
-
-
-def hybrid_depth(
-    alg: BilinearAlgorithm,
-    shape: int | tuple[int, int, int],
-    M: int,
-    base_size: int | None = None,
-) -> int:
-    """Levels a pure-fast DFS recurses before its cache-fit base case.
-
-    ``cutoff >= hybrid_depth(...)`` makes :func:`execute_hybrid`
-    word-identical to ``execute_recursive_bilinear``.  ``shape`` is the
-    (R, K, C) triple, or the A-side n (expanded via ``recursion_shape``).
-    """
-    from repro.algorithms.bilinear import recursion_shape
-
-    if isinstance(shape, int):
-        shape = recursion_shape(alg, shape)
-    if base_size is None:
-        base_size = max(shape)
-    depth = 0
-    while not _is_base(shape, M, base_size):
-        shape = _split_shape(alg, shape)
-        depth += 1
-    return depth
-
-
-def validate_hybrid_shapes(
-    alg: BilinearAlgorithm,
-    shape: tuple[int, int, int],
-    M: int,
-    base_size: int,
-    cutoff: int,
-) -> None:
-    """Walk the hybrid recursion's shapes, raising before any machine op.
-
-    Divisibility by (n, m, p) is only required down to the cutoff — the
-    classical leaves tile whatever shape they receive — which is exactly
-    what lets hybrid points run sizes a pure-fast recursion rejects.
-    """
-    level = 0
-    while level < cutoff and not _is_base(shape, M, base_size):
-        shape = _split_shape(alg, shape)
-        level += 1
-    if not _is_base(shape, M, base_size) and TILE_FOOTPRINT > M:
-        raise MemoryError(f"M={M} cannot hold even a 1×1 classical leaf")
-
-
-def _tiled_leaf(
-    machine: SequentialMachine,
-    a_name: str,
-    b_name: str,
-    c_name: str,
-    shape: tuple[int, int, int],
-    replay: bool,
-) -> None:
-    """Rectangular mirror of ``execute_tiled`` on named slow arrays."""
-    R, K, C = shape
-    M = machine.M
-    b = largest_leaf_tile(shape, M)
-    if TILE_FOOTPRINT * b * b > M:
-        raise ValueError(f"invalid tile size {b} for shape={shape}, M={M}")
-    machine.alloc_slow(c_name, (R, C))
-    qr, qk, qc = R // b, K // b, C // b
-    p_tile = machine.allocate("Pt", (b, b))  # charged product scratch
-    pass_reads = pass_writes = None
-    for i in range(qr):
-        for j in range(qc):
-            if replay and pass_reads is not None:
-                machine.charge_replayed_io(pass_reads, pass_writes, 1, label="Ct")
-                continue
-            r0, w0 = machine.words_read, machine.words_written
-            c_tile = machine.allocate("Ct", (b, b))
-            for k in range(qk):
-                a = machine.load_slice(
-                    a_name, np.s_[i * b : (i + 1) * b, k * b : (k + 1) * b], "At",
-                    copy=False,
-                )
-                bt = machine.load_slice(
-                    b_name, np.s_[k * b : (k + 1) * b, j * b : (j + 1) * b], "Bt",
-                    copy=False,
-                )
-                with machine.compute():
-                    np.matmul(a, bt, out=p_tile)
-                    np.add(c_tile, p_tile, out=c_tile)
-                machine.free("At")
-                machine.free("Bt")
-            machine.store_slice(
-                "Ct", c_name, np.s_[i * b : (i + 1) * b, j * b : (j + 1) * b]
-            )
-            machine.free("Ct")
-            pass_reads = machine.words_read - r0
-            pass_writes = machine.words_written - w0
-    machine.free("Pt")
-
-
-def _resident_leaf(
-    machine: SequentialMachine,
-    a_name: str,
-    b_name: str,
-    c_name: str,
-    shape: tuple[int, int, int],
-    replay: bool,
-) -> None:
-    """Smith et al. resident-C leaf: rank-1 streaming into a b×b C-block.
-
-    Per (i, j) block: keep C resident, and for every k load one b-word
-    A-column and one b-word B-row (in cw-wide chunks whose product scratch
-    is charged), accumulating C += a·bᵀ.  Reads 2·R·K·C/b, writes R·C,
-    peak b² + b + cw·(b+1) ≤ M — the 2n³/√M + n² classical optimum.
-    """
-    R, K, C = shape
-    b, cw = resident_block(R, C, machine.M)
-    machine.alloc_slow(c_name, (R, C))
-    pass_reads = pass_writes = None
-    for i in range(R // b):
-        for j in range(C // b):
-            if replay and pass_reads is not None:
-                machine.charge_replayed_io(pass_reads, pass_writes, 1, label="Cb")
-                continue
-            r0, w0 = machine.words_read, machine.words_written
-            c_blk = machine.allocate("Cb", (b, b))
-            for k in range(K):
-                a_col = machine.load_slice(
-                    a_name, np.s_[i * b : (i + 1) * b, k : k + 1], "Ar", copy=False
-                )
-                c0 = 0
-                while c0 < b:
-                    w = min(cw, b - c0)
-                    b_row = machine.load_slice(
-                        b_name, np.s_[k : k + 1, j * b + c0 : j * b + c0 + w],
-                        "Br", copy=False,
-                    )
-                    t = machine.allocate("Pr", (b, w))
-                    with machine.compute():
-                        np.multiply(a_col, b_row, out=t)
-                        np.add(c_blk[:, c0 : c0 + w], t, out=c_blk[:, c0 : c0 + w])
-                    machine.free("Pr")
-                    machine.free("Br")
-                    c0 += w
-                machine.free("Ar")
-            machine.store_slice(
-                "Cb", c_name, np.s_[i * b : (i + 1) * b, j * b : (j + 1) * b]
-            )
-            machine.free("Cb")
-            pass_reads = machine.words_read - r0
-            pass_writes = machine.words_written - w0
-
-
-_LEAF_EXECUTORS = {"tiled": _tiled_leaf, "resident": _resident_leaf}
-
-
-def _hybrid_mult(
-    machine: SequentialMachine,
-    alg: BilinearAlgorithm,
-    a_name: str,
-    b_name: str,
-    c_name: str,
-    shape: tuple[int, int, int],
-    cutoff: int,
-    level: int,
-    base_size: int,
-    leaf: str,
-    tag: str,
-    replay: bool = False,
-) -> None:
-    """The ``_mult`` DFS with a classical leaf grafted in at ``cutoff``."""
-    R, K, C = shape
-    if _is_base(shape, machine.M, base_size):
-        a = machine.load(a_name, "_a", copy=False)
-        b = machine.load(b_name, "_b", copy=False)
-        c = machine.allocate("_c", (R, C))
-        with machine.compute():
-            np.matmul(a, b, out=c)
-        machine.store("_c", c_name)
-        machine.free("_a")
-        machine.free("_b")
-        machine.free("_c")
-        return
-    if level >= cutoff:
-        _LEAF_EXECUTORS[leaf](machine, a_name, b_name, c_name, shape, replay)
-        return
-    hr, hk, hc = _split_shape(alg, shape)
-    machine.alloc_slow(c_name, (R, C))
-    prod_names: list[str] = []
-    sub_reads = sub_writes = None
-    for l in range(alg.t):
-        ah = f"{tag}.A{l}"
-        bh = f"{tag}.B{l}"
-        ml = f"{tag}.M{l}"
-        machine.alloc_slow(ah, (hr, hk))
-        machine.alloc_slow(bh, (hk, hc))
-        stream_linear_combination(
-            machine,
-            [
-                (a_name, (q // alg.m) * hr, (q % alg.m) * hk, float(alg.U[l, q]))
-                for q in np.nonzero(alg.U[l])[0]
-            ],
-            (ah, 0, 0),
-            (hr, hk),
-        )
-        stream_linear_combination(
-            machine,
-            [
-                (b_name, (q // alg.p) * hk, (q % alg.p) * hc, float(alg.V[l, q]))
-                for q in np.nonzero(alg.V[l])[0]
-            ],
-            (bh, 0, 0),
-            (hk, hc),
-        )
-        if replay and sub_reads is not None:
-            # Isomorphic to the measured sub-problem (same shape, same
-            # remaining cutoff budget): charge, don't execute.
-            machine.alloc_slow(ml, (hr, hc))
-            machine.charge_replayed_io(sub_reads, sub_writes, 1, label=ml)
-        else:
-            r0, w0 = machine.words_read, machine.words_written
-            _hybrid_mult(
-                machine, alg, ah, bh, ml, (hr, hk, hc), cutoff, level + 1,
-                base_size, leaf, f"{tag}.{l}", replay=replay,
-            )
-            if replay:
-                sub_reads = machine.words_read - r0
-                sub_writes = machine.words_written - w0
-        machine.drop_slow(ah)
-        machine.drop_slow(bh)
-        prod_names.append(ml)
-    for q in range(alg.n * alg.p):
-        stream_linear_combination(
-            machine,
-            [
-                (prod_names[int(l)], 0, 0, float(alg.W[q, l]))
-                for l in np.nonzero(alg.W[q])[0]
-            ],
-            (c_name, (q // alg.p) * hr, (q % alg.p) * hc),
-            (hr, hc),
-        )
-    for ml in prod_names:
-        machine.drop_slow(ml)
 
 
 def execute_hybrid(
@@ -367,49 +78,12 @@ def execute_hybrid(
     ``execute_recursive_bilinear`` (replay returns ``None``; the
     cross-check runs a shadow full execution and compares counters).
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
-    if leaf not in HYBRID_LEAVES:
-        raise ValueError(f"unknown hybrid leaf {leaf!r} (choose from {HYBRID_LEAVES})")
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ValueError("conforming 2-d operands required")
+    A, B = _operands(A, B)
     shape = (A.shape[0], A.shape[1], B.shape[1])
     if alg.is_square and cutoff > 0 and not (shape[0] == shape[1] == shape[2]):
         raise ValueError("square, same-shaped operands required")
-    if base_size is None:
-        base_size = max(shape)
-    validate_hybrid_shapes(alg, shape, machine.M, base_size, cutoff)
-    machine.place_input("A", A)
-    machine.place_input("B", B)
-    _hybrid_mult(
-        machine, alg, "A", "B", "C", shape, int(cutoff), 0, base_size, leaf,
-        "r", replay=level_replay,
-    )
-    if not level_replay:
-        return machine.fetch_output("C")
-    if cross_check:
-        ref = SequentialMachine(
-            machine.M, read_cost=machine.read_cost, write_cost=machine.write_cost
-        )
-        ref.place_input("A", A)
-        ref.place_input("B", B)
-        _hybrid_mult(
-            ref, alg, "A", "B", "C", shape, int(cutoff), 0, base_size, leaf,
-            "r", replay=False,
-        )
-        mismatches = {
-            key: (got, want)
-            for key, got, want in [
-                ("reads", machine.words_read, ref.words_read),
-                ("writes", machine.words_written, ref.words_written),
-                ("peak_fast", machine.peak_fast_words, ref.peak_fast_words),
-            ]
-            if got != want
-        }
-        if mismatches:
-            raise AssertionError(
-                f"level-replay counters diverge from full execution: {mismatches}"
-            )
-    return None
+    plan = _plan.recursion_plan(alg, shape, machine.M, base_size, cutoff, leaf)
+    C, _ = _plan.run_plan(machine, plan, A, B, level_replay)
+    if level_replay and cross_check:
+        _plan.cross_check(machine, plan, A, B)
+    return C

@@ -1,31 +1,20 @@
 """Out-of-core DFS execution of any recursive bilinear ⟨n,m,p;t⟩ algorithm.
 
-The recursion mirrors Algorithm 2: above the cache cutoff, each encoded
+The recursion mirrors Algorithm 2: above the cache cutoff each encoded
 operand Â_l = Σ_q U[l,q]·A_q is *streamed* through fast memory in row
-chunks (reads: nnz·|block|, writes: |block| per combination), the t
-sub-products are computed depth-first, and the output blocks are streamed
-back through the decoder.  At the cutoff (the whole sub-problem fits:
-R·K + K·C + R·C ≤ M, i.e. 3s² ≤ M in the square case) the operands are
-loaded and solved in-cache with a charged output buffer
-(``np.matmul(..., out=...)`` — the footprint is genuinely the three live
-matrices, no hidden temporary), and stored.
+chunks, the t sub-products are computed depth-first, and the output
+blocks are streamed back through the decoder; a sub-problem whose three
+matrices fit (R·K + K·C + R·C ≤ M) is solved in-cache with a charged
+output buffer.  A rectangular ⟨n,m,p⟩ base case divides the sides by
+(n, m, p) per level — the (nᴸ×mᴸ)·(mᴸ×pᴸ) recursion of Lemma 2.2 with
+I/O Θ((n_eff/√M)^{ω₀}·M), n_eff = (R·K·C)^{1/3}, ω₀ = 3·log_{nmp} t.
 
-The recursion state is the operand-shape triple (R, K, C) for the product
-(R×K)·(K×C): a square algorithm keeps R = K = C = s and divides by d each
-level; a rectangular ⟨n,m,p⟩ base case divides the three sides by n, m, p
-respectively — the (nᴸ×mᴸ)·(mᴸ×pᴸ) recursion of Lemma 2.2, whose I/O
-recurrence gives the Θ((n_eff/√M)^{ω₀}·M) upper bound with
-n_eff = (R·K·C)^{1/3} and ω₀ = 3·log_{nmp} t.
-
-Level-replay mode (``execute_recursive_bilinear(..., level_replay=True)``)
-exploits that the t sub-problems of a level are isomorphic: their I/O is
-value-independent and identical, so the machine executes the encoders for
-every l (their cost varies with nnz(U[l]), nnz(V[l])), recurses into
-*one* sub-problem, and charges the other t−1 via
-:meth:`SequentialMachine.charge_replayed_io`.  Counters are exact — the
-cross-check flag proves it against full execution — but the numeric
-product is not computed (the function returns ``None``).  Wall time drops
-from Θ(tᴸ) recursive calls to Θ(L·t) at depth L.
+The recursion is :func:`repro.execution.plan.recursion_plan`; this module
+is its machine-facing wrapper.  Level replay executes one of a level's t
+isomorphic sub-problems and charges the other t−1 via
+:meth:`SequentialMachine.charge_replayed_io`: counters stay exact (the
+cross-check proves it) but C is not computed, and wall time drops from
+Θ(tᴸ) recursive calls to Θ(L·t).
 """
 
 from __future__ import annotations
@@ -35,12 +24,12 @@ import warnings
 import numpy as np
 
 from repro.algorithms.bilinear import BilinearAlgorithm
+from repro.execution import plan as _plan
 from repro.machine.sequential import SequentialMachine
 
 __all__ = [
     "execute_recursive_bilinear",
     "stream_linear_combination",
-    "validate_recursion_shapes",
     "recursive_fast_matmul",
 ]
 
@@ -50,7 +39,6 @@ def stream_linear_combination(
     sources: list[tuple[str, int, int, float]],
     dst: tuple[str, int, int],
     shape: int | tuple[int, int],
-    reserve: int = 0,
 ) -> None:
     """dst_block = Σ coeff·src_block, streamed through fast memory.
 
@@ -59,166 +47,14 @@ def stream_linear_combination(
     common block shape, an int h for h×h blocks or a (rows, cols) pair.
     Only two buffers are ever resident — the accumulator and the current
     source chunk, combined in place — so row chunks are sized to the true
-    footprint 2·chunk_words + reserve ≤ M, independent of the fan-in.
-    (The old budget divided by len(sources)+1 as if every source chunk
-    stayed resident, degrading large fan-ins to needlessly tiny chunks.)
+    footprint 2·chunk_words ≤ M, independent of the fan-in.
     """
-    if not sources:
-        raise ValueError("empty linear combination")
-    hr, hc = (shape, shape) if isinstance(shape, int) else shape
-    chunk_words = (machine.M - reserve) // 2
-    if chunk_words < 1:
-        raise MemoryError(
-            f"M={machine.M} too small to stream {len(sources)}-term combinations"
-        )
-    rows_budget = max(1, chunk_words // hc)
-    cols_budget = hc if chunk_words >= hc else chunk_words
     dname, dr, dc = dst
-    r = 0
-    while r < hr:
-        rows = min(rows_budget, hr - r)
-        c = 0
-        while c < hc:
-            cols = min(cols_budget, hc - c)
-            acc = machine.allocate("_acc", (rows, cols))
-            for sname, sr, sc, coeff in sources:
-                chunk = machine.load_slice(
-                    sname,
-                    np.s_[sr + r : sr + r + rows, sc + c : sc + c + cols],
-                    "_src",
-                )
-                with machine.compute():
-                    if coeff != 1.0:
-                        np.multiply(chunk, coeff, out=chunk)
-                    np.add(acc, chunk, out=acc)
-                machine.free("_src")
-            machine.store_slice(
-                "_acc", dname, np.s_[dr + r : dr + r + rows, dc + c : dc + c + cols]
-            )
-            machine.free("_acc")
-            c += cols
-        r += rows
-
-
-def _is_base(shape: tuple[int, int, int], M: int, base_size: int) -> bool:
-    """Cache-fit cutoff: the three live matrices of (R×K)·(K×C) fit in M."""
-    R, K, C = shape
-    return R * K + K * C + R * C <= M and max(R, K, C) <= base_size
-
-
-def _split_shape(
-    alg: BilinearAlgorithm, shape: tuple[int, int, int]
-) -> tuple[int, int, int]:
-    """Sub-problem shape one level down; raises if the sides don't divide."""
-    R, K, C = shape
-    if R % alg.n or K % alg.m or C % alg.p:
-        if alg.is_square and R == K == C:
-            raise ValueError(
-                f"problem size {R} not divisible by base dimension {alg.n}"
-            )
-        raise ValueError(
-            f"problem shape {shape} not divisible by base dimensions "
-            f"({alg.n},{alg.m},{alg.p})"
-        )
-    return (R // alg.n, K // alg.m, C // alg.p)
-
-
-def validate_recursion_shapes(
-    alg: BilinearAlgorithm,
-    shape: tuple[int, int, int],
-    M: int,
-    base_size: int,
-) -> None:
-    """Walk the recursion's shape sequence, raising the error the DFS would.
-
-    Called before any machine side effect so a rejected point leaves no
-    partial I/O counters or trace records (the executors used to discover
-    divisibility failures mid-recursion, after metrics had accumulated).
-    """
-    while not _is_base(shape, M, base_size):
-        shape = _split_shape(alg, shape)
-
-
-def _mult(
-    machine: SequentialMachine,
-    alg: BilinearAlgorithm,
-    a_name: str,
-    b_name: str,
-    c_name: str,
-    shape: tuple[int, int, int],
-    base_size: int,
-    tag: str,
-    replay: bool = False,
-) -> None:
-    R, K, C = shape
-    if _is_base(shape, machine.M, base_size):
-        a = machine.load(a_name, "_a", copy=False)
-        b = machine.load(b_name, "_b", copy=False)
-        c = machine.allocate("_c", (R, C))
-        with machine.compute():
-            np.matmul(a, b, out=c)
-        machine.store("_c", c_name)
-        machine.free("_a")
-        machine.free("_b")
-        machine.free("_c")
-        return
-    hr, hk, hc = _split_shape(alg, shape)
-    machine.alloc_slow(c_name, (R, C))
-    prod_names: list[str] = []
-    sub_reads = sub_writes = None
-    for l in range(alg.t):
-        ah = f"{tag}.A{l}"
-        bh = f"{tag}.B{l}"
-        ml = f"{tag}.M{l}"
-        machine.alloc_slow(ah, (hr, hk))
-        machine.alloc_slow(bh, (hk, hc))
-        stream_linear_combination(
-            machine,
-            [
-                (a_name, (q // alg.m) * hr, (q % alg.m) * hk, float(alg.U[l, q]))
-                for q in np.nonzero(alg.U[l])[0]
-            ],
-            (ah, 0, 0),
-            (hr, hk),
-        )
-        stream_linear_combination(
-            machine,
-            [
-                (b_name, (q // alg.p) * hk, (q % alg.p) * hc, float(alg.V[l, q]))
-                for q in np.nonzero(alg.V[l])[0]
-            ],
-            (bh, 0, 0),
-            (hk, hc),
-        )
-        if replay and sub_reads is not None:
-            # Isomorphic to the measured sub-problem: same shapes, same
-            # recursion, value-independent I/O.  Charge, don't execute.
-            machine.alloc_slow(ml, (hr, hc))
-            machine.charge_replayed_io(sub_reads, sub_writes, 1, label=ml)
-        else:
-            r0, w0 = machine.words_read, machine.words_written
-            _mult(
-                machine, alg, ah, bh, ml, (hr, hk, hc), base_size,
-                f"{tag}.{l}", replay=replay,
-            )
-            if replay:
-                sub_reads = machine.words_read - r0
-                sub_writes = machine.words_written - w0
-        machine.drop_slow(ah)
-        machine.drop_slow(bh)
-        prod_names.append(ml)
-    for q in range(alg.n * alg.p):
-        stream_linear_combination(
-            machine,
-            [
-                (prod_names[int(l)], 0, 0, float(alg.W[q, l]))
-                for l in np.nonzero(alg.W[q])[0]
-            ],
-            (c_name, (q // alg.p) * hr, (q % alg.p) * hc),
-            (hr, hc),
-        )
-    for ml in prod_names:
-        machine.drop_slow(ml)
+    stream = _plan.make_stream(
+        [(i, r, c, coeff) for i, (_name, r, c, coeff) in enumerate(sources)],
+        (dr, dc), shape, machine.M,
+    )
+    _plan.run_stream(machine, stream, [name for name, *_ in sources], dname)
 
 
 def execute_recursive_bilinear(
@@ -250,42 +86,24 @@ def execute_recursive_bilinear(
     full execution on a shadow machine and raises if any counter differs;
     use on small n to certify the replay path.
     """
+    A, B = _operands(A, B)
+    shape = (A.shape[0], A.shape[1], B.shape[1])
+    if alg.is_square and not (shape[0] == shape[1] == shape[2]):
+        raise ValueError("square, same-shaped operands required")
+    plan = _plan.recursion_plan(alg, shape, machine.M, base_size)
+    C, _ = _plan.run_plan(machine, plan, A, B, level_replay)
+    if level_replay and cross_check:
+        _plan.cross_check(machine, plan, A, B)
+    return C
+
+
+def _operands(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """float64 views of conforming 2-d operands (raises otherwise)."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ValueError("conforming 2-d operands required")
-    shape = (A.shape[0], A.shape[1], B.shape[1])
-    if alg.is_square and not (shape[0] == shape[1] == shape[2]):
-        raise ValueError("square, same-shaped operands required")
-    if base_size is None:
-        base_size = max(shape)  # cutoff decided purely by the cache-fit test
-    validate_recursion_shapes(alg, shape, machine.M, base_size)
-    machine.place_input("A", A)
-    machine.place_input("B", B)
-    _mult(machine, alg, "A", "B", "C", shape, base_size, "r", replay=level_replay)
-    if not level_replay:
-        return machine.fetch_output("C")
-    if cross_check:
-        ref = SequentialMachine(
-            machine.M, read_cost=machine.read_cost, write_cost=machine.write_cost
-        )
-        ref.place_input("A", A)
-        ref.place_input("B", B)
-        _mult(ref, alg, "A", "B", "C", shape, base_size, "r", replay=False)
-        mismatches = {
-            key: (got, want)
-            for key, got, want in [
-                ("reads", machine.words_read, ref.words_read),
-                ("writes", machine.words_written, ref.words_written),
-                ("peak_fast", machine.peak_fast_words, ref.peak_fast_words),
-            ]
-            if got != want
-        }
-        if mismatches:
-            raise AssertionError(
-                f"level-replay counters diverge from full execution: {mismatches}"
-            )
-    return None
+    return A, B
 
 
 def recursive_fast_matmul(*args, **kwargs):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import active_registry, collecting
+from repro.obs.metrics import MetricsRegistry, active_registry, collecting
 
 __all__ = [
     "DifferentialProbe",
@@ -356,19 +356,44 @@ def _registry_seq_view(trace: dict) -> dict:
     }
 
 
-def _capture_seq_events(alg_spec, n: int, M: int, replay: bool) -> list[dict]:
-    """Re-run a seq_io execution with trace hooks, returning the event stream."""
-    from repro.engine.runners import execute_point, seq_io_point
-    from repro.machine import sequential
+class _EventLog(MetricsRegistry):
+    """A registry that also keeps the ordered stream of machine transfers
+    (``machine.load`` / ``machine.store`` / ``machine.replay`` events)."""
 
-    events: list[dict] = []
-    hook = events.append
-    sequential.add_trace_hook(hook)
-    try:
-        execute_point(seq_io_point(alg_spec, n, M, replay=replay).to_dict())
-    finally:
-        sequential.remove_trace_hook(hook)
-    return events
+    def __init__(self) -> None:
+        super().__init__()
+        self.events: list[dict] = []
+
+    _TRANSFERS = {"machine.seq.load_words": "machine.load",
+                  "machine.seq.store_words": "machine.store"}
+
+    def inc(self, name: str, amount: float = 1) -> None:
+        super().inc(name, amount)
+        words = int(amount)
+        if name in self._TRANSFERS:
+            self.events.append({"event": self._TRANSFERS[name], "words": words})
+        elif name == "machine.seq.replay_read_words":
+            self.events.append({"event": "machine.replay", "reads": words})
+        elif name == "machine.seq.replay_write_words":  # published after reads
+            ev = self.events[-1]
+            ev.update(writes=words, words=ev["reads"] + words)
+
+
+def _capture_seq_events(alg_spec, n: int, M: int, replay: bool) -> list[dict]:
+    """Re-run a seq_io execution, returning its machine event stream."""
+    import numpy as np
+
+    from repro.engine.runners import resolve_algorithm
+    from repro.execution.plan import run_plan, seq_io_plan
+    from repro.machine.sequential import SequentialMachine
+
+    plan = seq_io_plan(resolve_algorithm(alg_spec), n, M)
+    R, K, C = plan.root.shape
+    rng = np.random.default_rng(0)
+    with collecting(_EventLog()) as log:
+        run_plan(SequentialMachine(M), plan, rng.standard_normal((R, K)),
+                 rng.standard_normal((K, C)), replay)
+    return log.events
 
 
 def _run_level_replay_probe(probe: DifferentialProbe) -> ProbeOutcome:

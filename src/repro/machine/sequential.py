@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import tracemalloc
 from contextlib import contextmanager
-from typing import Callable
 
 import numpy as np
 
@@ -35,43 +34,16 @@ __all__ = [
     "SequentialMachine",
     "FastMemoryOverflow",
     "StrictAccountingError",
-    "add_trace_hook",
-    "remove_trace_hook",
 ]
 
-# Lightweight trace hooks (used by repro.engine): each registered callable
-# receives a plain dict describing one counted transfer.  The hot paths pay
-# only a truthiness check while no hook is registered.  Counted transfers
-# additionally publish typed metrics (machine.seq.*, see
-# docs/observability.md) into the active MetricsRegistry, if any.
-_TRACE_HOOKS: list[Callable[[dict], None]] = []
-
-
-def add_trace_hook(hook: Callable[[dict], None]) -> None:
-    """Register a callable invoked with an event dict per counted transfer."""
-    _TRACE_HOOKS.append(hook)
-
-
-def remove_trace_hook(hook: Callable[[dict], None]) -> None:
-    """Unregister a hook previously added with :func:`add_trace_hook`."""
-    if hook in _TRACE_HOOKS:
-        _TRACE_HOOKS.remove(hook)
-
-
-def _emit(event: dict) -> None:
-    for hook in list(_TRACE_HOOKS):
-        hook(event)
-
-
-def _publish_transfer(direction: str, name: str, words: int) -> None:
-    """One counted transfer: typed metrics plus the legacy hook event."""
+def _publish_transfer(direction: str, words: int) -> None:
+    """One counted transfer's typed metrics (machine.seq.*, see
+    docs/observability.md), if a MetricsRegistry is active."""
     reg = active_registry()
     if reg is not None:
         reg.inc(f"machine.seq.{direction}s")
         reg.inc(f"machine.seq.{direction}_words", words)
         reg.observe("machine.seq.transfer_words", words)
-    if _TRACE_HOOKS:
-        _emit({"event": f"machine.{direction}", "name": name, "words": words})
 
 
 class FastMemoryOverflow(RuntimeError):
@@ -188,7 +160,7 @@ class SequentialMachine:
             buf.flags.writeable = False
         self.fast[into or name] = buf
         self.words_read += arr.size
-        _publish_transfer("load", name, int(arr.size))
+        _publish_transfer("load", int(arr.size))
         return buf
 
     def load_slice(self, name: str, idx, into: str, copy: bool = True) -> np.ndarray:
@@ -205,7 +177,7 @@ class SequentialMachine:
             buf.flags.writeable = False
         self.fast[into] = buf
         self.words_read += chunk.size
-        _publish_transfer("load", name, int(chunk.size))
+        _publish_transfer("load", int(chunk.size))
         return buf
 
     def allocate(self, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -220,14 +192,14 @@ class SequentialMachine:
         buf = self.fast[name]
         self.slow[to or name] = buf.copy()
         self.words_written += buf.size
-        _publish_transfer("store", name, int(buf.size))
+        _publish_transfer("store", int(buf.size))
 
     def store_slice(self, name: str, to: str, idx) -> None:
         """Write a fast buffer into a slice of a slow array; costs buffer size."""
         buf = self.fast[name]
         self.slow[to][idx] = buf
         self.words_written += buf.size
-        _publish_transfer("store", name, int(buf.size))
+        _publish_transfer("store", int(buf.size))
 
     def free(self, name: str) -> None:
         """Drop a fast buffer (free: eviction of a clean/dead value)."""
@@ -308,24 +280,13 @@ class SequentialMachine:
             # (repro.falsify.differential).
             reg.inc("machine.seq.replay_read_words", int(reads * repeats))
             reg.inc("machine.seq.replay_write_words", int(writes * repeats))
-        if _TRACE_HOOKS:
-            _emit(
-                {
-                    "event": "machine.replay",
-                    "name": label,
-                    "words": int((reads + writes) * repeats),
-                    "reads": int(reads * repeats),
-                    "writes": int(writes * repeats),
-                    "repeats": int(repeats),
-                }
-            )
 
     def consume_ir(self, ir) -> dict:
         """Charge a lowered :class:`repro.schedule.ir.ScheduleIR` op stream.
 
         This is the machine as an IR interpreter: every LOAD/STORE/ALLOC/
-        FREE op goes through the same capacity check, counters, registry
-        publications, and trace hooks as the physical executors' calls,
+        FREE op goes through the same capacity check, counters and registry
+        publications as the physical executors' calls,
         and REPLAY expansion records route through
         :meth:`charge_replayed_io` with their span's resolved (reads,
         writes) — nested replays included, since spans resolve in
@@ -349,11 +310,11 @@ class SequentialMachine:
                 self._charge_alloc(op.words)
                 self.words_read += op.words
                 r = op.words
-                _publish_transfer("load", op.name, op.words)
+                _publish_transfer("load", op.words)
             elif op.kind is OpKind.STORE:
                 self.words_written += op.words
                 w = op.words
-                _publish_transfer("store", op.name, op.words)
+                _publish_transfer("store", op.words)
             elif op.kind is OpKind.ALLOC:
                 self._charge_alloc(op.words)
             elif op.kind is OpKind.FREE:

@@ -296,8 +296,7 @@ def active_registry() -> MetricsRegistry | None:
     """The registry instrumented code should publish into, if any.
 
     Hot paths call this once per event batch; it is a list peek, so the
-    cost while no collection is active is a truthiness check — the same
-    budget as the legacy ``_TRACE_HOOKS`` guard.
+    cost while no collection is active is a truthiness check.
     """
     return _ACTIVE[-1] if _ACTIVE else None
 

@@ -156,16 +156,9 @@ def _promote_phases(metrics: dict) -> dict:
     tags = metrics.pop("tags", None)
     if not tags or "io_total" in metrics or not any(t in tags for t in _PHASE_KEYS):
         return metrics
-    fwd = tags.get("transform_forward", 0)
-    bil = tags.get("bilinear", 0)
-    inv = tags.get("transform_inverse", 0)
-    metrics.update(
-        io_transform_forward=float(fwd),
-        io_bilinear=float(bil),
-        io_transform_inverse=float(inv),
-        io_total=float(fwd + bil + inv),
-        transform_fraction=float((fwd + inv) / max(1.0, fwd + bil + inv)),
-    )
+    from repro.execution.plan import phase_metrics
+
+    metrics.update(phase_metrics(*(tags.get(t, 0) for t in _PHASE_KEYS)))
     return metrics
 
 

@@ -1,27 +1,20 @@
 """Lowering: from workload specs to the flat Schedule IR.
 
-Every lowering here is a *structural mirror* of the corresponding machine
-executor: it emits exactly the op sequence the executor's machine calls
-would produce — same chunking, same buffer lifetimes, same replay
-boundaries — without touching numpy data.  The contract (checked by the
-differential harness and tests/schedule/test_lowering.py) is:
+Every lowering emits exactly the op sequence the corresponding machine
+execution would produce — same chunking, same buffer lifetimes, same
+replay boundaries — without touching numpy data.  The contract (checked
+by the differential harness and tests/schedule/test_lowering.py) is:
 
     interpreting the lowered IR with the reference backend produces
     *word-identical* (reads, writes, peak_fast) to running the physical
     executor on a :class:`~repro.machine.sequential.SequentialMachine`.
 
-The mirrors:
+The lowerings:
 
-* ``seq_io`` / variant ``recursive`` — :func:`repro.execution.
-  recursive_bilinear.execute_recursive_bilinear` (DFS with streamed
-  linear combinations; level-replay emits REPLAY expansion records);
-* ``seq_io`` / variant ``tiled`` — :func:`repro.execution.
-  classical_tiled.execute_tiled` (blocked classical, C-tile replay);
-* ``seq_io`` / variant ``hybrid`` — :func:`repro.execution.hybrid.
-  execute_hybrid` (fast recursion above the cutoff level, classical
-  tiled / resident-C leaves below — De Stefani's hybrid algorithms);
-* ``seq_io`` / variant ``abmm`` — :func:`repro.execution.abmm_exec.
-  execute_abmm` (basis transforms + the shared bilinear recursion);
+* ``seq_io`` (variants ``recursive``, ``tiled``, ``hybrid``, ``abmm``) —
+  the IR flattener :func:`repro.execution.plan.lower_plan` over the same
+  plan the machine executors run (level replay emits REPLAY expansion
+  records; ABMM ops carry phase tags);
 * ``lru_trace`` — one TRACE op per i-row of the naive matmul trace;
 * ``pebble`` — a 1:1 move translation of a red-blue pebbling schedule;
 * ``parallel_comm`` — owner-map simulation of the BFS-parallel execution
@@ -30,9 +23,7 @@ The mirrors:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.schedule.ir import Op, OpKind, ScheduleIR
+from repro.schedule.ir import OpKind, ScheduleIR
 from repro.schedule.spec import ScheduleSpec
 
 __all__ = ["lower", "lower_seq_io", "lower_lru_trace", "lower_pebble",
@@ -56,335 +47,14 @@ def lower(spec: ScheduleSpec) -> ScheduleIR:
 
 
 # --------------------------------------------------------------------- #
-# seq_io: streamed linear combinations (mirror of stream_linear_combination)
+# seq_io: the plan's IR flattener
 # --------------------------------------------------------------------- #
-def _lower_stream(
-    ir: ScheduleIR,
-    n_sources: int,
-    shape: int | tuple[int, int],
-    M: int,
-    level: int,
-    reserve: int = 0,
-    tag: str | None = None,
-) -> None:
-    """Mirror of ``stream_linear_combination``: chunked dst = Σ coeff·src.
-
-    Emits, per chunk: ALLOC acc, (LOAD src, FREE src) × n_sources,
-    STORE acc, FREE acc — the exact buffer lifetime of the machine
-    version, so peak fast-memory matches word-for-word.  ``shape`` is the
-    block shape (an int h for h×h, or a (rows, cols) pair).
-    """
-    if n_sources == 0:
-        raise ValueError("empty linear combination")
-    hr, hc = (shape, shape) if isinstance(shape, int) else shape
-    chunk_words = (M - reserve) // 2
-    if chunk_words < 1:
-        raise MemoryError(
-            f"M={M} too small to stream {n_sources}-term combinations"
-        )
-    rows_budget = max(1, chunk_words // hc)
-    cols_budget = hc if chunk_words >= hc else chunk_words
-    r = 0
-    while r < hr:
-        rows = min(rows_budget, hr - r)
-        c = 0
-        while c < hc:
-            cols = min(cols_budget, hc - c)
-            words = rows * cols
-            ir.emit(OpKind.ALLOC, "_acc", words, level, tag=tag)
-            for _ in range(n_sources):
-                ir.emit(OpKind.LOAD, "_src", words, level, tag=tag)
-                ir.emit(OpKind.FREE, "_src", words, level, tag=tag)
-            ir.emit(OpKind.STORE, "_acc", words, level, tag=tag)
-            ir.emit(OpKind.FREE, "_acc", words, level, tag=tag)
-            c += cols
-        r += rows
-
-
-def _lower_mult(
-    ir: ScheduleIR,
-    alg,
-    shape: tuple[int, int, int],
-    M: int,
-    base_size: int,
-    level: int,
-    replay: bool,
-    tag: str | None = None,
-) -> None:
-    """Mirror of ``recursive_bilinear._mult`` (the shared DFS recursion).
-
-    ``shape`` is the (R, K, C) operand triple of the (R×K)·(K×C) product —
-    equal sides for square algorithms, divided by (n, m, p) per level for
-    rectangular base cases.
-    """
-    from repro.execution.recursive_bilinear import _is_base, _split_shape
-
-    R, K, C = shape
-    if _is_base(shape, M, base_size):
-        ir.emit(OpKind.LOAD, "_a", R * K, level, tag=tag)
-        ir.emit(OpKind.LOAD, "_b", K * C, level, tag=tag)
-        ir.emit(OpKind.ALLOC, "_c", R * C, level, tag=tag)
-        ir.emit(OpKind.COMPUTE, "matmul", 0, level, tag=tag)
-        ir.emit(OpKind.STORE, "_c", R * C, level, tag=tag)
-        ir.emit(OpKind.FREE, "_a", R * K, level, tag=tag)
-        ir.emit(OpKind.FREE, "_b", K * C, level, tag=tag)
-        ir.emit(OpKind.FREE, "_c", R * C, level, tag=tag)
-        return
-    hr, hk, hc = _split_shape(alg, shape)
-    sub_span: tuple[int, int] | None = None
-    for l in range(alg.t):
-        _lower_stream(
-            ir, int(np.count_nonzero(alg.U[l])), (hr, hk), M, level, tag=tag
-        )
-        _lower_stream(
-            ir, int(np.count_nonzero(alg.V[l])), (hk, hc), M, level, tag=tag
-        )
-        if replay and sub_span is not None:
-            # Isomorphic to the measured sub-problem (Lemma 2.2): expand by
-            # reference instead of lowering another copy of the subtree.
-            ir.emit(OpKind.REPLAY, f"M{l}", 0, level, index=l,
-                    span=sub_span, repeats=1, tag=tag)
-        else:
-            i0 = len(ir.ops)
-            _lower_mult(ir, alg, (hr, hk, hc), M, base_size, level + 1, replay,
-                        tag=tag)
-            if replay:
-                sub_span = (i0, len(ir.ops))
-    for q in range(alg.n * alg.p):
-        _lower_stream(
-            ir, int(np.count_nonzero(alg.W[q])), (hr, hc), M, level, tag=tag
-        )
-
-
-def _lower_leaf_tiled(
-    ir: ScheduleIR, shape: tuple[int, int, int], M: int, level: int, replay: bool
-) -> None:
-    """Mirror of ``hybrid._tiled_leaf`` (rectangular blocked classical)."""
-    from repro.execution.classical_tiled import TILE_FOOTPRINT
-    from repro.execution.hybrid import largest_leaf_tile
-
-    R, K, C = shape
-    b = largest_leaf_tile(shape, M)
-    if TILE_FOOTPRINT * b * b > M:
-        raise ValueError(f"invalid tile size {b} for shape={shape}, M={M}")
-    qr, qk, qc = R // b, K // b, C // b
-    w = b * b
-    ir.emit(OpKind.ALLOC, "Pt", w, level)
-    pass_span: tuple[int, int] | None = None
-    for i in range(qr):
-        for j in range(qc):
-            if replay and pass_span is not None:
-                ir.emit(OpKind.REPLAY, "Ct", 0, level, index=i * qc + j,
-                        span=pass_span, repeats=1)
-                continue
-            i0 = len(ir.ops)
-            ir.emit(OpKind.ALLOC, "Ct", w, level, index=i * qc + j)
-            for _k in range(qk):
-                ir.emit(OpKind.LOAD, "At", w, level)
-                ir.emit(OpKind.LOAD, "Bt", w, level)
-                ir.emit(OpKind.COMPUTE, "matmul", 0, level)
-                ir.emit(OpKind.FREE, "At", w, level)
-                ir.emit(OpKind.FREE, "Bt", w, level)
-            ir.emit(OpKind.STORE, "Ct", w, level, index=i * qc + j)
-            ir.emit(OpKind.FREE, "Ct", w, level)
-            pass_span = (i0, len(ir.ops))
-    ir.emit(OpKind.FREE, "Pt", w, level)
-
-
-def _lower_leaf_resident(
-    ir: ScheduleIR, shape: tuple[int, int, int], M: int, level: int, replay: bool
-) -> None:
-    """Mirror of ``hybrid._resident_leaf`` (Smith et al. resident-C)."""
-    from repro.execution.hybrid import resident_block
-
-    R, K, C = shape
-    b, cw = resident_block(R, C, M)
-    pass_span: tuple[int, int] | None = None
-    for i in range(R // b):
-        for j in range(C // b):
-            if replay and pass_span is not None:
-                ir.emit(OpKind.REPLAY, "Cb", 0, level, index=i * (C // b) + j,
-                        span=pass_span, repeats=1)
-                continue
-            i0 = len(ir.ops)
-            ir.emit(OpKind.ALLOC, "Cb", b * b, level, index=i * (C // b) + j)
-            for _k in range(K):
-                ir.emit(OpKind.LOAD, "Ar", b, level)
-                c0 = 0
-                while c0 < b:
-                    w = min(cw, b - c0)
-                    ir.emit(OpKind.LOAD, "Br", w, level)
-                    ir.emit(OpKind.ALLOC, "Pr", b * w, level)
-                    ir.emit(OpKind.COMPUTE, "rank1", 0, level)
-                    ir.emit(OpKind.FREE, "Pr", b * w, level)
-                    ir.emit(OpKind.FREE, "Br", w, level)
-                    c0 += w
-                ir.emit(OpKind.FREE, "Ar", b, level)
-            ir.emit(OpKind.STORE, "Cb", b * b, level, index=i * (C // b) + j)
-            ir.emit(OpKind.FREE, "Cb", b * b, level)
-            pass_span = (i0, len(ir.ops))
-
-
-def _lower_hybrid(
-    ir: ScheduleIR,
-    alg,
-    shape: tuple[int, int, int],
-    M: int,
-    cutoff: int,
-    base_size: int,
-    level: int,
-    replay: bool,
-    leaf: str,
-) -> None:
-    """Mirror of ``hybrid._hybrid_mult``: the DFS with classical leaves.
-
-    Identical to :func:`_lower_mult` above the cutoff (including the
-    cache-fit base case, which takes precedence); at ``level == cutoff``
-    the classical leaf lowering is emitted instead of recursing.
-    """
-    from repro.execution.recursive_bilinear import _is_base, _split_shape
-
-    R, K, C = shape
-    if _is_base(shape, M, base_size):
-        ir.emit(OpKind.LOAD, "_a", R * K, level)
-        ir.emit(OpKind.LOAD, "_b", K * C, level)
-        ir.emit(OpKind.ALLOC, "_c", R * C, level)
-        ir.emit(OpKind.COMPUTE, "matmul", 0, level)
-        ir.emit(OpKind.STORE, "_c", R * C, level)
-        ir.emit(OpKind.FREE, "_a", R * K, level)
-        ir.emit(OpKind.FREE, "_b", K * C, level)
-        ir.emit(OpKind.FREE, "_c", R * C, level)
-        return
-    if level >= cutoff:
-        lower_leaf = _lower_leaf_tiled if leaf == "tiled" else _lower_leaf_resident
-        lower_leaf(ir, shape, M, level, replay)
-        return
-    hr, hk, hc = _split_shape(alg, shape)
-    sub_span: tuple[int, int] | None = None
-    for l in range(alg.t):
-        _lower_stream(ir, int(np.count_nonzero(alg.U[l])), (hr, hk), M, level)
-        _lower_stream(ir, int(np.count_nonzero(alg.V[l])), (hk, hc), M, level)
-        if replay and sub_span is not None:
-            ir.emit(OpKind.REPLAY, f"M{l}", 0, level, index=l,
-                    span=sub_span, repeats=1)
-        else:
-            i0 = len(ir.ops)
-            _lower_hybrid(ir, alg, (hr, hk, hc), M, cutoff, base_size,
-                          level + 1, replay, leaf)
-            if replay:
-                sub_span = (i0, len(ir.ops))
-    for q in range(alg.n * alg.p):
-        _lower_stream(ir, int(np.count_nonzero(alg.W[q])), (hr, hc), M, level)
-
-
-def _lower_tiled(ir: ScheduleIR, n: int, M: int, replay: bool) -> None:
-    """Mirror of ``classical_tiled.execute_tiled`` (blocked classical)."""
-    from repro.execution.classical_tiled import TILE_FOOTPRINT, largest_tile
-
-    b = largest_tile(n, M)
-    if n % b != 0 or TILE_FOOTPRINT * b * b > M:
-        raise ValueError(f"invalid tile size {b} for n={n}, M={M}")
-    q = n // b
-    w = b * b
-    ir.emit(OpKind.ALLOC, "Pt", w, 0)
-    pass_span: tuple[int, int] | None = None
-    for i in range(q):
-        for j in range(q):
-            if replay and pass_span is not None:
-                ir.emit(OpKind.REPLAY, "Ct", 0, 0, index=i * q + j,
-                        span=pass_span, repeats=1)
-                continue
-            i0 = len(ir.ops)
-            ir.emit(OpKind.ALLOC, "Ct", w, 0, index=i * q + j)
-            for _k in range(q):
-                ir.emit(OpKind.LOAD, "At", w, 0)
-                ir.emit(OpKind.LOAD, "Bt", w, 0)
-                ir.emit(OpKind.COMPUTE, "matmul", 0, 0)
-                ir.emit(OpKind.FREE, "At", w, 0)
-                ir.emit(OpKind.FREE, "Bt", w, 0)
-            ir.emit(OpKind.STORE, "Ct", w, 0, index=i * q + j)
-            ir.emit(OpKind.FREE, "Ct", w, 0)
-            pass_span = (i0, len(ir.ops))
-    ir.emit(OpKind.FREE, "Pt", w, 0)
-
-
-def _lower_basis_transform(
-    ir: ScheduleIR, n: int, phi: np.ndarray, stop: int, M: int, tag: str
-) -> None:
-    """Mirror of ``abmm_exec.machine_basis_transform`` (streamed levels)."""
-    from repro.util.checks import check_power_of_two
-
-    check_power_of_two(n, "n")
-    phi = np.asarray(phi)
-    d = 2
-    s = n
-    level = 0
-    while s > stop and s >= d:
-        h = s // d
-        blocks_per_side = n // s
-        for _bi in range(blocks_per_side):
-            for _bj in range(blocks_per_side):
-                for q2 in range(d * d):
-                    _lower_stream(
-                        ir, int(np.count_nonzero(phi[q2])), h, M, level, tag=tag
-                    )
-        s = h
-        level += 1
-
-
-def abmm_stop_size(n: int, M: int, base_size: int | None) -> int:
-    """The ABMM cutoff: largest power-of-two s with 3s² ≤ M (≤ base_size)."""
-    stop = n
-    while stop > 1 and (3 * stop * stop > M or (base_size and stop > base_size)):
-        stop //= 2
-    if 3 * stop * stop > M:
-        raise MemoryError(f"M={M} cannot hold even a {stop}×{stop} base case")
-    return stop
-
-
-def _lower_abmm(
-    ir: ScheduleIR, alt, n: int, M: int, base_size: int | None, replay: bool
-) -> None:
-    """Mirror of ``abmm_exec.execute_abmm`` (transforms + bilinear core)."""
-    from repro.basis.transform import invert_base_transform
-
-    stop = abmm_stop_size(n, M, base_size)
-    _lower_basis_transform(ir, n, alt.phi, stop, M, tag="transform_forward")
-    _lower_basis_transform(ir, n, alt.psi, stop, M, tag="transform_forward")
-    _lower_mult(ir, alt.core, (n, n, n), M, stop, 0, replay, tag="bilinear")
-    nu_inv = invert_base_transform(alt.nu)
-    _lower_basis_transform(ir, n, nu_inv, stop, M, tag="transform_inverse")
-
-
 def lower_seq_io(spec: ScheduleSpec) -> ScheduleIR:
-    """Lower a sequential out-of-core matmul workload."""
-    p = spec.params
-    n, M = p["n"], p["M"]
-    variant = p.get("variant", "recursive")
-    replay = bool(p.get("replay", True))
-    base_size = p.get("base_size")
-    ir = ScheduleIR(kind="seq_io", params=dict(p))
-    if variant == "tiled":
-        _lower_tiled(ir, n, M, replay)
-    elif variant == "abmm":
-        _lower_abmm(ir, spec.payload["alg"], n, M, base_size, replay)
-    elif variant == "recursive":
-        from repro.algorithms.bilinear import recursion_shape
+    """Lower a sequential out-of-core matmul workload: flatten its plan."""
+    from repro.execution.plan import lower_plan
 
-        alg = spec.payload["alg"]
-        shape = recursion_shape(alg, n)
-        bs = max(shape) if base_size is None else base_size
-        _lower_mult(ir, alg, shape, M, bs, 0, replay)
-    elif variant == "hybrid":
-        from repro.algorithms.bilinear import recursion_shape
-
-        alg = spec.payload["alg"]
-        shape = recursion_shape(alg, n)
-        bs = max(shape) if base_size is None else base_size
-        _lower_hybrid(ir, alg, shape, M, int(p["cutoff"]), bs, 0, replay,
-                      p.get("leaf", "tiled"))
-    else:
-        raise KeyError(f"unknown seq_io variant {variant!r}")
+    ir = ScheduleIR(kind="seq_io", params=dict(spec.params))
+    lower_plan(spec.plan(), ir, bool(spec.params.get("replay", True)))
     return ir
 
 

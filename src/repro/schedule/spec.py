@@ -57,6 +57,17 @@ class ScheduleSpec:
 
         return lower(self)
 
+    def plan(self):
+        """The recursion plan of a ``seq_io`` spec
+        (:func:`repro.execution.plan.seq_io_plan`)."""
+        from repro.execution.plan import seq_io_plan
+
+        p = self.params
+        if p.get("variant", "recursive") not in ("recursive", "tiled", "hybrid", "abmm"):
+            raise KeyError(f"unknown seq_io variant {p.get('variant')!r}")
+        return seq_io_plan(self.payload["alg"], int(p["n"]), int(p["M"]),
+                           p.get("base_size"), p.get("cutoff"), p.get("leaf", "tiled"))
+
 
 def _resolve_seq_alg(alg):
     """Classify a seq_io algorithm reference → (variant, live object).
@@ -125,7 +136,7 @@ def seq_io_schedule(
             raise ValueError(
                 f"hybrid cutoff requires a bilinear algorithm, not variant {variant!r}"
             )
-        from repro.execution.hybrid import HYBRID_LEAVES
+        from repro.execution.plan import HYBRID_LEAVES
 
         if leaf not in HYBRID_LEAVES:
             raise ValueError(

@@ -9,22 +9,13 @@ what pushes sweeps to n ≥ 4096 (7¹²⁺ subproblems) in milliseconds where
 even the replay-lowered IR costs thousands of ops and the explicit-CDAG
 path caps out near n ≈ 32.
 
-Closed forms (word-exact mirrors of the lowered schedules, certified by
-the ``repro falsify`` backend probes):
+The seq_io closed forms are the cost fold of the one recursion plan
+(:func:`repro.execution.plan.plan_costs`): per node, reads(s) =
+t·reads(s/d) + Σ nnz·|block| over the level's streams, writes likewise
+with one |block| per stream, plus the base, leaf and ABMM-transform
+terms — word-exact against the machine and the lowered schedules
+(certified by the ``repro falsify`` backend probes).  Also:
 
-* recursive bilinear, cutoff s₀ (first s with 3s² ≤ M, ≤ base_size):
-    reads(s)  = t·reads(s/d)  + (s/d)²·(nnz U + nnz V + nnz W)
-    writes(s) = t·writes(s/d) + (s/d)²·(2t + d²)
-    base: (2s₀², s₀², peak 3s₀²);  stream peak 2·chunk(s/d) with
-    chunk(h) = min(max(1, (M//2)//h), h) · (h if M//2 ≥ h else M//2)
-* tiled classical, tile b = largest_tile(n, M), q = n/b:
-    reads 2q³b², writes q²b², peak 4b²
-* hybrid (fast above cutoff ℓ, classical leaves below): the recursive
-  recurrence for ℓ levels, then per-leaf classical counts — tiled leaf
-  (2qᵣq_cq_k b², qᵣq_c b², 4b²) or resident-C leaf (2RKC/b, RC,
-  b² + b + cw(1+b)) — memoized on (shape, remaining levels)
-* ABMM: per transform level s (n down to s₀): (n/s)²·Σ_q₂ nnz(row q₂)·(s/2)²
-  reads and n² writes, plus the bilinear recurrence at cutoff s₀
 * LRU trace: the exact periodic-state extrapolation — rows are simulated
   until the cache state provably cycles, then the remaining n − O(1) rows
   are charged in closed form (same counters as the full simulation)
@@ -35,233 +26,16 @@ those kinds raise :class:`~repro.schedule.ir.BackendUnsupported`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.schedule.ir import BackendUnsupported
 from repro.schedule.spec import ScheduleSpec
 
 __all__ = ["execute"]
 
 
-def _stream_costs(
-    nnz: int, shape: int | tuple[int, int], M: int
-) -> tuple[int, int, int]:
-    """(reads, writes, peak) of one streamed linear combination into a block.
-
-    ``shape`` is the block shape — an int h for h×h or a (rows, cols) pair.
-    """
-    if nnz == 0:
-        raise ValueError("empty linear combination")
-    hr, hc = (shape, shape) if isinstance(shape, int) else shape
-    chunk_words = M // 2
-    if chunk_words < 1:
-        raise MemoryError(f"M={M} too small to stream {nnz}-term combinations")
-    rows = min(max(1, chunk_words // hc), hr)
-    cols = hc if chunk_words >= hc else chunk_words
-    return nnz * hr * hc, hr * hc, 2 * rows * cols
-
-
-def _mult_costs(
-    alg,
-    shape: tuple[int, int, int],
-    M: int,
-    base_size: int,
-    memo: dict[tuple[int, int, int], tuple[int, int, int]],
-) -> tuple[int, int, int]:
-    """(reads, writes, peak) of the shared bilinear recursion at (R, K, C)."""
-    from repro.execution.recursive_bilinear import _is_base, _split_shape
-
-    if shape in memo:
-        return memo[shape]
-    R, K, C = shape
-    if _is_base(shape, M, base_size):
-        res = (R * K + K * C, R * C, R * K + K * C + R * C)
-        memo[shape] = res
-        return res
-    hr, hk, hc = _split_shape(alg, shape)
-    reads = writes = peak = 0
-    for l in range(alg.t):
-        for mat, blk in ((alg.U, (hr, hk)), (alg.V, (hk, hc))):
-            sr, sw, sp = _stream_costs(int(np.count_nonzero(mat[l])), blk, M)
-            reads += sr
-            writes += sw
-            peak = max(peak, sp)
-    sub_r, sub_w, sub_p = _mult_costs(alg, (hr, hk, hc), M, base_size, memo)
-    reads += alg.t * sub_r
-    writes += alg.t * sub_w
-    peak = max(peak, sub_p)
-    for q in range(alg.n * alg.p):
-        sr, sw, sp = _stream_costs(int(np.count_nonzero(alg.W[q])), (hr, hc), M)
-        reads += sr
-        writes += sw
-        peak = max(peak, sp)
-    res = (reads, writes, peak)
-    memo[shape] = res
-    return res
-
-
-def _leaf_costs(leaf: str, shape: tuple[int, int, int], M: int) -> tuple[int, int, int]:
-    """(reads, writes, peak) of one classical hybrid leaf on (R, K, C)."""
-    R, K, C = shape
-    if leaf == "tiled":
-        from repro.execution.classical_tiled import TILE_FOOTPRINT
-        from repro.execution.hybrid import largest_leaf_tile
-
-        b = largest_leaf_tile(shape, M)
-        if TILE_FOOTPRINT * b * b > M:
-            raise ValueError(f"invalid tile size {b} for shape={shape}, M={M}")
-        qr, qk, qc = R // b, K // b, C // b
-        return 2 * qr * qc * qk * b * b, qr * qc * b * b, 4 * b * b
-    if leaf == "resident":
-        from repro.execution.hybrid import resident_block
-
-        b, cw = resident_block(R, C, M)
-        w = min(cw, b)
-        reads = 2 * (R // b) * (C // b) * K * b
-        return reads, (R // b) * (C // b) * b * b, b * b + b + w * (1 + b)
-    raise KeyError(f"unknown hybrid leaf {leaf!r}")
-
-
-def _hybrid_costs(
-    alg,
-    shape: tuple[int, int, int],
-    M: int,
-    cutoff: int,
-    base_size: int,
-    leaf: str,
-    memo: dict,
-) -> tuple[int, int, int]:
-    """Hybrid closed form, memoized on (shape, remaining cutoff levels).
-
-    Above the cutoff the recurrence is :func:`_mult_costs`' (streams +
-    t isomorphic sub-problems); at the cutoff the classical leaf's counts
-    are charged; the cache-fit base case takes precedence throughout,
-    mirroring ``hybrid._hybrid_mult`` exactly.
-    """
-    from repro.execution.recursive_bilinear import _is_base, _split_shape
-
-    key = (shape, max(int(cutoff), 0))
-    if key in memo:
-        return memo[key]
-    R, K, C = shape
-    if _is_base(shape, M, base_size):
-        res = (R * K + K * C, R * C, R * K + K * C + R * C)
-    elif cutoff <= 0:
-        res = _leaf_costs(leaf, shape, M)
-    else:
-        hr, hk, hc = _split_shape(alg, shape)
-        reads = writes = peak = 0
-        for l in range(alg.t):
-            for mat, blk in ((alg.U, (hr, hk)), (alg.V, (hk, hc))):
-                sr, sw, sp = _stream_costs(int(np.count_nonzero(mat[l])), blk, M)
-                reads += sr
-                writes += sw
-                peak = max(peak, sp)
-        sub_r, sub_w, sub_p = _hybrid_costs(
-            alg, (hr, hk, hc), M, cutoff - 1, base_size, leaf, memo
-        )
-        reads += alg.t * sub_r
-        writes += alg.t * sub_w
-        peak = max(peak, sub_p)
-        for q in range(alg.n * alg.p):
-            sr, sw, sp = _stream_costs(int(np.count_nonzero(alg.W[q])), (hr, hc), M)
-            reads += sr
-            writes += sw
-            peak = max(peak, sp)
-        res = (reads, writes, peak)
-    memo[key] = res
-    return res
-
-
-def _tiled_costs(n: int, M: int) -> tuple[int, int, int]:
-    from repro.execution.classical_tiled import TILE_FOOTPRINT, largest_tile
-
-    b = largest_tile(n, M)
-    if n % b != 0 or TILE_FOOTPRINT * b * b > M:
-        raise ValueError(f"invalid tile size {b} for n={n}, M={M}")
-    q = n // b
-    return 2 * q * q * q * b * b, q * q * b * b, 4 * b * b
-
-
-def _transform_costs(phi: np.ndarray, n: int, stop: int, M: int) -> tuple[int, int, int]:
-    """(reads, writes, peak) of one streamed recursive basis transform."""
-    phi = np.asarray(phi)
-    reads = writes = peak = 0
-    s = n
-    while s > stop and s >= 2:
-        h = s // 2
-        blocks = (n // s) ** 2
-        for q2 in range(4):
-            sr, sw, sp = _stream_costs(int(np.count_nonzero(phi[q2])), h, M)
-            reads += blocks * sr
-            writes += blocks * sw
-            peak = max(peak, sp)
-        s = h
-    return reads, writes, peak
-
-
 def _seq_io(spec: ScheduleSpec) -> dict:
-    p = spec.params
-    n, M = int(p["n"]), int(p["M"])
-    variant = p.get("variant", "recursive")
-    base_size = p.get("base_size")
-    if variant == "tiled":
-        reads, writes, peak = _tiled_costs(n, M)
-        return {"reads": reads, "writes": writes, "io": reads + writes,
-                "peak_fast": peak}
-    if variant == "recursive":
-        from repro.algorithms.bilinear import recursion_shape
+    from repro.execution.plan import plan_costs
 
-        alg = spec.payload["alg"]
-        shape = recursion_shape(alg, n)
-        reads, writes, peak = _mult_costs(
-            alg, shape, M, max(shape) if base_size is None else int(base_size), {}
-        )
-        return {"reads": reads, "writes": writes, "io": reads + writes,
-                "peak_fast": peak}
-    if variant == "hybrid":
-        from repro.algorithms.bilinear import recursion_shape
-
-        alg = spec.payload["alg"]
-        shape = recursion_shape(alg, n)
-        reads, writes, peak = _hybrid_costs(
-            alg, shape, M, int(p["cutoff"]),
-            max(shape) if base_size is None else int(base_size),
-            p.get("leaf", "tiled"), {},
-        )
-        return {"reads": reads, "writes": writes, "io": reads + writes,
-                "peak_fast": peak}
-    if variant == "abmm":
-        from repro.basis.transform import invert_base_transform
-        from repro.schedule.lower import abmm_stop_size
-        from repro.util.checks import check_power_of_two
-
-        check_power_of_two(n, "n")
-        alt = spec.payload["alg"]
-        stop = abmm_stop_size(n, M, base_size)
-        fr, fw, fp = _transform_costs(alt.phi, n, stop, M)
-        gr, gw, gp = _transform_costs(alt.psi, n, stop, M)
-        br, bw, bp = _mult_costs(alt.core, (n, n, n), M, stop, {})
-        ir_, iw, ip = _transform_costs(invert_base_transform(alt.nu), n, stop, M)
-        reads = fr + gr + br + ir_
-        writes = fw + gw + bw + iw
-        io_fwd = fr + fw + gr + gw
-        io_bil = br + bw
-        io_inv = ir_ + iw
-        return {
-            "reads": reads,
-            "writes": writes,
-            "io": reads + writes,
-            "peak_fast": max(fp, gp, bp, ip),
-            "io_transform_forward": float(io_fwd),
-            "io_bilinear": float(io_bil),
-            "io_transform_inverse": float(io_inv),
-            "io_total": float(io_fwd + io_bil + io_inv),
-            "transform_fraction": float(
-                (io_fwd + io_inv) / max(1.0, io_fwd + io_bil + io_inv)
-            ),
-        }
-    raise KeyError(f"unknown seq_io variant {variant!r}")
+    return plan_costs(spec.plan())
 
 
 def _lru_trace(spec: ScheduleSpec) -> dict:

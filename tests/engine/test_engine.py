@@ -277,12 +277,6 @@ class TestTraceEvents:
         res = run_point(parallel_comm_point(None, 8, 4))
         assert res.trace["events"]["bsp.superstep"]["count"] > 0
 
-    def test_hooks_unregistered_after_run(self):
-        from repro.machine import sequential as seq
-
-        run_point(seq_io_point("strassen", 8, M))
-        assert seq._TRACE_HOOKS == []
-
 
 class TestBackendSelection:
     def test_backend_omitted_keeps_cache_key_stable(self, strassen_alg):

@@ -21,6 +21,22 @@ class TestSpec:
     def test_primary_metric_is_io(self):
         assert PRIMARY_METRIC["hybrid"] == "io"
 
+    def test_cutoff_past_depth_shares_the_depth_key(self):
+        """hybrid_depth(strassen, 64, 48) is 4, so cutoff 99 is cutoff 4:
+        one cache key, identical metrics."""
+        from repro.algorithms.strassen import strassen
+        from repro.engine.keys import point_key
+        from repro.execution.hybrid import hybrid_depth
+
+        assert hybrid_depth(strassen(), 64, 48) == 4
+        far, depth = hybrid_point("strassen", 64, 48, 99), hybrid_point("strassen", 64, 48, 4)
+        assert far.params["cutoff"] == 4
+        assert point_key(far.kind, far.params) == point_key(depth.kind, depth.params)
+        assert execute_point(far.to_dict())[0] == execute_point(depth.to_dict())[0]
+
+    def test_cutoff_within_depth_kept(self):
+        assert hybrid_point("strassen", 64, 48, 3).params["cutoff"] == 3
+
     @pytest.mark.parametrize("alg", [None, "karstadt_schwartz"])
     def test_non_bilinear_algorithms_rejected(self, alg):
         with pytest.raises(ValueError):

@@ -69,13 +69,13 @@ class TestTiledMatmul:
         execute_tiled(m, rng.standard_normal((16, 16)), rng.standard_normal((16, 16)))
         assert m.peak_fast_words <= 48
 
-    def test_bad_tile_rejected(self, rng):
-        m = SequentialMachine(48)
+    def test_memory_below_one_tile_rejected(self, rng):
+        """M = 3 cannot hold the four 1×1 tiles; nothing is charged."""
+        m = SequentialMachine(3)
         A = rng.standard_normal((16, 16))
-        with pytest.raises(ValueError):
-            execute_tiled(m, A, A, tile=5)  # doesn't divide 16
-        with pytest.raises(ValueError):
-            execute_tiled(m, A, A, tile=8)  # 4·64 > 48
+        with pytest.raises(ValueError, match="invalid tile size"):
+            execute_tiled(m, A, A)
+        assert m.io_operations == 0
 
     def test_non_square_rejected(self, rng):
         m = SequentialMachine(48)

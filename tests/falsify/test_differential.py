@@ -3,6 +3,8 @@ and first-divergence localization on synthetically tampered inputs."""
 
 import json
 
+import pytest
+
 from repro.cdag.families import binary_tree_cdag
 from repro.falsify.differential import (
     DifferentialProbe,
@@ -134,6 +136,21 @@ class TestEventLocalization:
         short = self._loads([4, 4])
         div = localize_event_divergence(short, fine)
         assert div is not None and div["index"] == 2
+
+    @pytest.mark.parametrize("alg", ["strassen", None, "karstadt_schwartz"])
+    def test_captured_machine_streams_align(self, alg):
+        """The event-logging machine's replay and full streams of a real
+        execution agree checkpoint by checkpoint, and their totals are the
+        machine's own counters."""
+        from repro.engine.runners import execute_point, seq_io_point
+        from repro.falsify.differential import _capture_seq_events
+
+        coarse = _capture_seq_events(alg, 16, 48, replay=True)
+        fine = _capture_seq_events(alg, 16, 48, replay=False)
+        assert any(ev["event"] == "machine.replay" for ev in coarse)
+        assert localize_event_divergence(coarse, fine) is None
+        metrics, _, _ = execute_point(seq_io_point(alg, 16, 48).to_dict())
+        assert sum(ev["words"] for ev in fine) == metrics["io"]
 
 
 class TestRowLocalization:

@@ -41,6 +41,23 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv,why", [
+        (["sweep", "30", "--M", "64"], "not divisible"),
+        (["sweep", "64", "--M", "0"], "M must be >= 1"),
+        (["sweep", "64", "--M", "-5"], "M must be >= 1"),
+    ])
+    def test_sweep_bad_sizes_are_usage_errors(self, capsys, monkeypatch, argv, why):
+        """Rejected before any point is dispatched: exit 2, one line."""
+        import repro.engine
+
+        def no_dispatch(*args, **kwargs):
+            raise AssertionError("run_sweep reached")
+
+        monkeypatch.setattr(repro.engine, "run_sweep", no_dispatch)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert why in err and len(err.strip().splitlines()) == 1
+
 
 class TestCLIJson:
     def test_table1_json(self, capsys):
