@@ -23,10 +23,6 @@ zoo sweep --alg NAME    per-algorithm I/O sweep; fitted exponent is
                         compared against that entry's own measured
                         tolerance gate; ``--hybrid`` sweeps the
                         fast/classical cutoff instead of n
-serve                   resilient serving daemon: WAL-backed job queue,
-                        backpressure, circuit breaking (docs/serving.md)
-serve-drill             chaos-certify a daemon: backpressure, breaker,
-                        kill+restart exactly-once
 
 ``table1``, ``eval``, ``sweep``, and ``report`` accept ``--json`` for
 machine-readable output; ``sweep`` and ``recompute`` run through
@@ -274,7 +270,7 @@ def _cmd_sweep(args) -> int:
         except (ValueError, MemoryError) as exc:
             print(f"sweep: n={n}, M={args.M}: {exc}", file=sys.stderr)
             return 2
-    res = run_sweep(points, _engine_config(args), parameter="n")
+    res = run_sweep(points, args.engine, parameter="n")
     if args.json:
         payload = res.to_dict()
         payload["algorithm"] = label
@@ -381,7 +377,7 @@ def _cmd_zoo_sweep(args) -> int:
     specs = [
         seq_io_point(args.alg, n, args.M, backend=backend) for n in sizes
     ]
-    res = run_sweep(specs, _engine_config(args), parameter="n")
+    res = run_sweep(specs, args.engine, parameter="n")
     fitted = float(res.exponent) if len(res.points) >= 2 else None
     diff = abs(fitted - alg.omega0) if fitted is not None else None
     within = diff is not None and diff <= tolerance
@@ -439,7 +435,7 @@ def _zoo_hybrid_sweep(args, alg, n: int, backend: str) -> int:
     except ValueError as exc:
         print(f"zoo sweep: {exc}", file=sys.stderr)
         return 2
-    res = run_sweep(specs, _engine_config(args), parameter="cutoff")
+    res = run_sweep(specs, args.engine, parameter="cutoff")
     rc = _report_failures(res)
     if rc:
         return rc
@@ -501,7 +497,7 @@ def _cmd_recompute(args) -> int:
         for _, rc, wc in cost_models
         for allow in (True, False)
     ]
-    res = run_sweep(points, _engine_config(args), parameter="M")
+    res = run_sweep(points, args.engine, parameter="M")
     if res.failures:
         return _report_failures(res)
     ios = [p.measured for p in res.points]
@@ -615,7 +611,7 @@ def _cmd_atlas(args) -> int:
         atlas = build_atlas(
             preset=args.preset,
             beam_width=args.beam_width,
-            config=_engine_config(args),
+            config=args.engine,
         )
     except KeyError as exc:
         print(f"atlas: {exc.args[0]}", file=sys.stderr)
@@ -658,59 +654,6 @@ def _cmd_cache_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _cmd_serve(args) -> int:
-    from repro.engine import EngineConfig
-    from repro.serve import Daemon, ServeConfig
-
-    config = ServeConfig(
-        serve_dir=args.dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        retry_after_s=args.retry_after,
-        wal_sync=args.wal_sync,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
-        max_job_retries=args.job_retries,
-        default_deadline_s=args.deadline,
-        flush_interval_s=args.flush_interval,
-        drain_timeout_s=args.drain_timeout,
-        allow_remote_shutdown=args.allow_remote_shutdown,
-        engine=EngineConfig(
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            point_timeout_s=args.timeout,
-            cache_max_bytes=args.cache_max_bytes,
-        ),
-    )
-    daemon = Daemon(config)
-    daemon.install_signal_handlers()
-    host, port = daemon.start()
-    print(f"serve: listening on http://{host}:{port} "
-          f"(dir={config.serve_dir}, workers={config.workers}, "
-          f"queue={config.queue_depth}, wal={config.wal_sync})")
-    sys.stdout.flush()
-    daemon.wait()
-    print("serve: drained and stopped")
-    return 0
-
-
-def _cmd_serve_drill(args) -> int:
-    from repro.serve.drill import run_drill
-
-    report = run_drill(args.dir)
-    if args.json:
-        _print_json(report)
-    else:
-        for name, passed in sorted(report["checks"].items()):
-            print(f"  {'PASS' if passed else 'FAIL'}  {name}")
-        print("OK" if report["ok"] else "CHAOS CERTIFICATION FAILED")
-        if not report["ok"]:
-            _print_json(report["details"])
-    return 0 if report["ok"] else 1
-
-
 def _engine_parent() -> argparse.ArgumentParser:
     """Shared parent parser: execution/recovery flags of engine commands.
 
@@ -748,7 +691,8 @@ def _engine_parent() -> argparse.ArgumentParser:
         "--keep-going", dest="fail_fast", action="store_false",
         help="complete every surviving point despite failures (default)",
     )
-    parent.set_defaults(fail_fast=False)
+    # main() fills ``engine`` with the validated EngineConfig
+    parent.set_defaults(fail_fast=False, engine=None)
     parent.add_argument(
         "--cache-max-bytes", type=int, default=None, metavar="B",
         help="result-cache size budget; least-recently-used entries are "
@@ -873,56 +817,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_cv.set_defaults(fn=_cmd_cache_verify)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the resilient serving daemon (WAL-backed job queue over HTTP)",
-    )
-    p_serve.add_argument("--dir", default="serve",
-                         help="serve directory: WAL, endpoint.json, manifest, cache")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="0 picks an ephemeral port (published in endpoint.json)")
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="worker-pool width; 0/1 executes in-process")
-    p_serve.add_argument("--queue-depth", type=int, default=256,
-                         help="admission bound; overload answers HTTP 429")
-    p_serve.add_argument("--retry-after", type=float, default=1.0, metavar="S",
-                         help="Retry-After hint sent with 429 responses")
-    p_serve.add_argument("--wal-sync", choices=["always", "batch", "off"],
-                         default="always", help="WAL durability mode")
-    p_serve.add_argument("--breaker-threshold", type=int, default=3,
-                         help="consecutive pool failures that trip the breaker")
-    p_serve.add_argument("--breaker-cooldown", type=float, default=5.0, metavar="S",
-                         help="seconds the breaker stays open before a probe")
-    p_serve.add_argument("--job-retries", type=int, default=2,
-                         help="infrastructure-failure retries per job")
-    p_serve.add_argument("--deadline", type=float, default=None, metavar="S",
-                         help="default per-job deadline budget")
-    p_serve.add_argument("--timeout", type=float, default=None, metavar="S",
-                         help="per-execution wall-clock limit (EngineConfig."
-                              "point_timeout_s)")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="result cache (default: <dir>/cache)")
-    p_serve.add_argument("--cache-max-bytes", type=int, default=None, metavar="B",
-                         help="cache size budget with LRU eviction")
-    p_serve.add_argument("--flush-interval", type=float, default=1.0, metavar="S",
-                         help="manifest/metrics flush cadence")
-    p_serve.add_argument("--drain-timeout", type=float, default=30.0, metavar="S",
-                         help="graceful-shutdown wait for in-flight jobs")
-    p_serve.add_argument("--allow-remote-shutdown", action="store_true",
-                         help="expose POST /shutdown (tests and drills)")
-    p_serve.set_defaults(fn=_cmd_serve)
-
-    p_drill = sub.add_parser(
-        "serve-drill",
-        help="chaos-certify the daemon: backpressure, breaker, kill+restart",
-    )
-    p_drill.add_argument("--dir", default="serve-drill",
-                         help="scratch directory for the drill daemons")
-    p_drill.add_argument("--json", action="store_true",
-                         help="machine-readable output")
-    p_drill.set_defaults(fn=_cmd_serve_drill)
-
     p_zoo = sub.add_parser(
         "zoo", help="the fast-matmul algorithm corpus (docs/zoo.md)"
     )
@@ -992,6 +886,13 @@ def main(argv: list[str] | None = None) -> int:
     ).set_defaults(fn=_cmd_reproduce)
 
     args = parser.parse_args(argv)
+    if "engine" in args:
+        # bad engine flags are usage errors, rejected before any dispatch
+        try:
+            args.engine = _engine_config(args)
+        except ValueError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

@@ -18,10 +18,10 @@ quarantines the corrupt entries and prunes the orphans via
 
 Size budget
 -----------
-A long-lived consumer (the serve daemon runs for days) cannot let the
-cache grow without bound, so ``max_bytes`` installs a budget: when a
-write pushes the total entry size over it, least-recently-used entries
-are evicted until the cache fits again.  Recency is the entry file's
+A cache shared by many sweeps grows without bound unless capped, so
+``max_bytes`` installs a budget: when a write pushes the total entry
+size over it, least-recently-used entries are evicted until the cache
+fits again.  Recency is the entry file's
 mtime — :meth:`get` touches the file on every hit, so eviction order is
 true LRU at filesystem-timestamp granularity.  The running total is
 approximate under concurrent writers (each process tracks its own

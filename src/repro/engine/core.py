@@ -150,15 +150,14 @@ class EngineConfig:
     cache_max_bytes:
         Size budget for the result cache; least-recently-used entries
         are evicted when a write pushes the cache over it (None = no
-        budget).  Long-lived consumers — the serve daemon above all —
-        must set this or the cache grows without bound.
-    handle_signals:
-        Drain gracefully on SIGTERM/SIGINT (main thread only): stop
-        dispatching, mark the in-flight and queued points ``skipped``,
-        flush the JSONL checkpoint and the manifest, and return the
-        partial :class:`SweepResult` (``stats["interrupted"] = 1``)
-        instead of dying mid-write.  A second signal falls through to
-        the previous handler.
+        budget).
+
+    A sweep run on the main thread drains gracefully on SIGTERM/SIGINT:
+    it stops dispatching, marks the in-flight and queued points
+    ``skipped``, flushes the JSONL checkpoint and the manifest, and
+    returns the partial :class:`SweepResult` (``stats["interrupted"] =
+    1``) instead of dying mid-write.  A second signal falls through to
+    the previous handler.
     """
 
     workers: int = 0
@@ -175,9 +174,23 @@ class EngineConfig:
     sweep_dir: str | Path | None = None
     profile: str = "off"
     cache_max_bytes: int | None = None
-    handle_signals: bool = True
 
     def __post_init__(self) -> None:
+        if self.workers < 0:
+            raise ValueError(f"workers (--workers) must be >= 0, got {self.workers}")
+        if self.max_retries < 0:
+            raise ValueError(
+                f"max_retries (--retries) must be >= 0, got {self.max_retries}"
+            )
+        if self.point_timeout_s is not None and self.point_timeout_s <= 0:
+            raise ValueError(
+                f"point_timeout_s (--timeout) must be > 0, got {self.point_timeout_s}"
+            )
+        if self.cache_max_bytes is not None and self.cache_max_bytes <= 0:
+            raise ValueError(
+                f"cache_max_bytes (--cache-max-bytes) must be > 0, "
+                f"got {self.cache_max_bytes}"
+            )
         if self.profile not in PROFILE_MODES:
             raise ValueError(
                 f"unknown profile mode {self.profile!r} (use one of {PROFILE_MODES})"
@@ -504,8 +517,6 @@ class _SweepRunner:
         previous handlers, so a second signal behaves as if the engine
         had never intervened (normally: process death).
         """
-        if not self.config.handle_signals:
-            return None
         if threading.current_thread() is not threading.main_thread():
             return None
         previous: dict = {}

@@ -20,8 +20,8 @@ chosen failure on the first N executions of matching points:
     sleep for ``delay_s``, then run the point normally — a slow worker
     rather than a dead one.  Unlike ``hang`` (whose default stall is so
     long the engine must kill the worker), ``delay`` models tail latency:
-    the execution still succeeds, just late.  The serve chaos suite uses
-    it to fill queues and exercise backpressure and deadline budgets.
+    the execution still succeeds, just late.  The SIGTERM drain tests
+    use it to hold a point in flight while the signal arrives.
 
 Attempt counting must survive the very failures it triggers (a crashed
 worker cannot remember it crashed), so counts live on disk: executing a

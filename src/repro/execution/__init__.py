@@ -23,30 +23,15 @@ The four sequential executions are thin wrappers over one recursion
 plan (:mod:`repro.execution.plan`), which the Schedule IR lowering and
 the symbolic backend interpret too.  All of these also run behind the
 unified facade
-:func:`repro.schedule.run` (backends "reference", "vector", "symbolic");
-the pre-redesign names (``tiled_matmul``, ``naive_matmul_lru_trace``,
-``recursive_fast_matmul``, ``abmm_machine_multiply``,
-``parallel_strassen_bfs``) remain importable as deprecated shims.
+:func:`repro.schedule.run` (backends "reference", "vector", "symbolic").
 """
 
-from repro.execution.classical_tiled import (
-    execute_lru_trace,
-    execute_tiled,
-    naive_matmul_lru_trace,
-    tiled_matmul,
-)
-from repro.execution.recursive_bilinear import (
-    execute_recursive_bilinear,
-    recursive_fast_matmul,
-)
+from repro.execution.classical_tiled import execute_lru_trace, execute_tiled
+from repro.execution.recursive_bilinear import execute_recursive_bilinear
 from repro.execution.hybrid import HYBRID_LEAVES, execute_hybrid, hybrid_depth
-from repro.execution.abmm_exec import abmm_machine_multiply, execute_abmm
+from repro.execution.abmm_exec import execute_abmm
 from repro.execution.parallel_classical import parallel_classical_summa
-from repro.execution.parallel_strassen import (
-    execute_parallel_bfs,
-    parallel_strassen_bfs,
-    simulate_bfs_comm,
-)
+from repro.execution.parallel_strassen import execute_parallel_bfs, simulate_bfs_comm
 
 __all__ = [
     "execute_tiled",
@@ -59,10 +44,4 @@ __all__ = [
     "execute_parallel_bfs",
     "simulate_bfs_comm",
     "parallel_classical_summa",
-    # deprecated shims
-    "tiled_matmul",
-    "naive_matmul_lru_trace",
-    "recursive_fast_matmul",
-    "abmm_machine_multiply",
-    "parallel_strassen_bfs",
 ]

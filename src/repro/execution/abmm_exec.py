@@ -9,15 +9,13 @@ phases separately so the benches can show the ratio actually vanishing.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.basis.abmm import AlternativeBasisAlgorithm
 from repro.execution import plan as _plan
 from repro.machine.sequential import SequentialMachine
 
-__all__ = ["machine_basis_transform", "execute_abmm", "abmm_machine_multiply"]
+__all__ = ["machine_basis_transform", "execute_abmm"]
 
 
 def machine_basis_transform(
@@ -64,14 +62,3 @@ def execute_abmm(
     B = np.asarray(B, dtype=np.float64)
     plan = _plan.abmm_plan(alt, A.shape[0], machine.M, base_size)
     return _plan.run_plan(machine, plan, A, B, level_replay)
-
-
-def abmm_machine_multiply(*args, **kwargs):
-    """Deprecated alias of :func:`execute_abmm`."""
-    warnings.warn(
-        "abmm_machine_multiply is deprecated; use "
-        "repro.execution.execute_abmm or repro.schedule.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_abmm(*args, **kwargs)

@@ -23,8 +23,6 @@ Two executions:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.execution.plan import largest_leaf_tile, run_plan, tiled_plan
@@ -35,8 +33,6 @@ __all__ = [
     "execute_tiled",
     "execute_lru_trace",
     "largest_tile",
-    "tiled_matmul",
-    "naive_matmul_lru_trace",
 ]
 
 def largest_tile(n: int, M: int) -> int:
@@ -168,25 +164,3 @@ def execute_lru_trace(
         prev_state, prev_delta = (state_addrs, state_dirty), delta
     cache.flush()
     return cache.stats()
-
-
-def tiled_matmul(*args, **kwargs):
-    """Deprecated alias of :func:`execute_tiled`."""
-    warnings.warn(
-        "tiled_matmul is deprecated; use "
-        "repro.execution.execute_tiled or repro.schedule.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_tiled(*args, **kwargs)
-
-
-def naive_matmul_lru_trace(*args, **kwargs):
-    """Deprecated alias of :func:`execute_lru_trace`."""
-    warnings.warn(
-        "naive_matmul_lru_trace is deprecated; use "
-        "repro.execution.execute_lru_trace or repro.schedule.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_lru_trace(*args, **kwargs)

@@ -19,8 +19,6 @@ cross-check proves it) but C is not computed, and wall time drops from
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.algorithms.bilinear import BilinearAlgorithm
@@ -30,7 +28,6 @@ from repro.machine.sequential import SequentialMachine
 __all__ = [
     "execute_recursive_bilinear",
     "stream_linear_combination",
-    "recursive_fast_matmul",
 ]
 
 
@@ -104,14 +101,3 @@ def _operands(A, B) -> tuple[np.ndarray, np.ndarray]:
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ValueError("conforming 2-d operands required")
     return A, B
-
-
-def recursive_fast_matmul(*args, **kwargs):
-    """Deprecated alias of :func:`execute_recursive_bilinear`."""
-    warnings.warn(
-        "recursive_fast_matmul is deprecated; use "
-        "repro.execution.execute_recursive_bilinear or repro.schedule.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_recursive_bilinear(*args, **kwargs)

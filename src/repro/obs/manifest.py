@@ -125,14 +125,8 @@ class RunManifest:
                 }
         self.write()
 
-    def record_point(self, run, write: bool = True) -> None:
-        """Update one ledger row from a finished :class:`RunResult`.
-
-        ``write=False`` batches: the row is updated in memory and the
-        caller flushes with :meth:`write` on its own schedule — the serve
-        daemon records hundreds of jobs per second and cannot afford an
-        atomic manifest rewrite per job.
-        """
+    def record_point(self, run) -> None:
+        """Update one ledger row from a finished :class:`RunResult`."""
         attempts = (run.error or {}).get("attempts", 1 if run.ok else 0)
         self.data["points"][run.key] = {
             "kind": run.kind,
@@ -142,8 +136,7 @@ class RunManifest:
             "cached": run.cached,
             "wall_time_s": run.wall_time_s,
         }
-        if write:
-            self.write()
+        self.write()
 
     def finish(self, stats: Mapping[str, float], metrics: Mapping) -> None:
         """Attach the final sweep statistics and metrics snapshot."""

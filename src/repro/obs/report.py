@@ -237,34 +237,6 @@ def build_report(sweep_dir: str | Path, top: int = 5) -> dict:
     executed = [r for r in runs if r.ok and not r.cached]
     slowest = sorted(executed, key=lambda r: r.wall_time_s, reverse=True)[:top]
 
-    # serving: present only for directories written by the serve daemon
-    serve_counters = {k: v for k, v in counters.items() if k.startswith("serve.")}
-    serve = None
-    if serve_counters:
-        stats = (manifest or {}).get("stats") or {}
-        breaker = stats.get("breaker") if isinstance(stats.get("breaker"), dict) else {}
-        serve = {
-            "submitted": serve_counters.get("serve.submitted", 0),
-            "accepted": serve_counters.get("serve.accepted", 0),
-            "rejected": serve_counters.get("serve.rejected", 0),
-            "coalesced": serve_counters.get("serve.coalesced", 0),
-            "resubmitted": serve_counters.get("serve.resubmitted", 0),
-            "cache_hits_mem": serve_counters.get("serve.cache.hit.mem", 0),
-            "cache_hits_disk": serve_counters.get("serve.cache.hit.disk", 0),
-            "jobs_done": serve_counters.get("serve.jobs.done", 0),
-            "jobs_failed": serve_counters.get("serve.jobs.failed", 0),
-            "jobs_expired": serve_counters.get("serve.jobs.expired", 0),
-            "jobs_retried": serve_counters.get("serve.jobs.retried", 0),
-            "degraded_executions": serve_counters.get("serve.degraded.executions", 0),
-            "pool_broken": serve_counters.get("serve.pool.broken", 0),
-            "pool_rebuilds": serve_counters.get("serve.pool.rebuilds", 0),
-            "wal_replayed": serve_counters.get("serve.wal.replayed", 0),
-            "breaker": {
-                "state": breaker.get("state"),
-                "trips": breaker.get("trips"),
-            },
-        }
-
     profiles_dir = sweep_dir / "profiles"
     artifacts = (
         sorted(p.name for p in profiles_dir.iterdir() if p.is_file())
@@ -325,7 +297,6 @@ def build_report(sweep_dir: str | Path, top: int = 5) -> dict:
             "by_status": by_status,
             "by_error_type": by_error,
         },
-        "serve": serve,
         "machine_metrics": point_metrics,
         "slowest": [
             {
@@ -506,32 +477,6 @@ def render_report(report: dict) -> str:
     else:
         lines.append("- permanent failures: none")
     lines.append("")
-
-    serve = report.get("serve")
-    if serve:
-        breaker = serve.get("breaker") or {}
-        lines += [
-            "## Serving (daemon)",
-            "",
-            f"- admission: {_fmt(serve['submitted'])} submitted, "
-            f"{_fmt(serve['accepted'])} accepted, "
-            f"{_fmt(serve['rejected'])} rejected (backpressure), "
-            f"{_fmt(serve['coalesced'])} coalesced, "
-            f"{_fmt(serve['resubmitted'])} idempotent resubmits",
-            f"- fast path: {_fmt(serve['cache_hits_mem'])} memory hits, "
-            f"{_fmt(serve['cache_hits_disk'])} disk hits",
-            f"- outcomes: {_fmt(serve['jobs_done'])} done, "
-            f"{_fmt(serve['jobs_failed'])} failed, "
-            f"{_fmt(serve['jobs_expired'])} deadline-expired, "
-            f"{_fmt(serve['jobs_retried'])} retried",
-            f"- resilience: breaker {breaker.get('state') or '?'} "
-            f"({_fmt(breaker.get('trips'))} trips), "
-            f"{_fmt(serve['degraded_executions'])} degraded serial executions, "
-            f"{_fmt(serve['pool_broken'])} pool breaks / "
-            f"{_fmt(serve['pool_rebuilds'])} rebuilds, "
-            f"{_fmt(serve['wal_replayed'])} WAL-replayed jobs",
-            "",
-        ]
 
     if report["slowest"]:
         lines += ["## Slowest points", ""]

@@ -45,16 +45,32 @@ class TestCLI:
         (["sweep", "30", "--M", "64"], "not divisible"),
         (["sweep", "64", "--M", "0"], "M must be >= 1"),
         (["sweep", "64", "--M", "-5"], "M must be >= 1"),
+        (["sweep", "64", "--M", "48", "--cache-dir", "{tmp}", "--cache-max-bytes",
+          "-5"], "(--cache-max-bytes) must be > 0"),
+        (["sweep", "64", "--M", "48", "--cache-dir", "{tmp}", "--cache-max-bytes",
+          "0"], "(--cache-max-bytes) must be > 0"),
+        (["sweep", "64", "--M", "48", "--workers", "2", "--timeout", "0"],
+         "(--timeout) must be > 0"),
+        (["sweep", "64", "--M", "48", "--workers", "2", "--timeout", "-1"],
+         "(--timeout) must be > 0"),
+        (["sweep", "64", "--M", "48", "--retries", "-2"], "(--retries) must be >= 0"),
+        (["sweep", "64", "--M", "48", "--workers", "-3"], "(--workers) must be >= 0"),
+        (["recompute", "--workers", "-3"], "(--workers) must be >= 0"),
+        (["zoo", "sweep", "--alg", "strassen", "--retries", "-1"],
+         "(--retries) must be >= 0"),
     ])
-    def test_sweep_bad_sizes_are_usage_errors(self, capsys, monkeypatch, argv, why):
-        """Rejected before any point is dispatched: exit 2, one line."""
+    def test_sweep_bad_sizes_are_usage_errors(
+        self, capsys, monkeypatch, tmp_path, argv, why
+    ):
+        """Bad sizes and bad engine flags are rejected before any point is
+        dispatched: exit 2, one line."""
         import repro.engine
 
         def no_dispatch(*args, **kwargs):
             raise AssertionError("run_sweep reached")
 
         monkeypatch.setattr(repro.engine, "run_sweep", no_dispatch)
-        assert main(argv) == 2
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
         assert why in err and len(err.strip().splitlines()) == 1
 

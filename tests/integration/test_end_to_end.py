@@ -131,3 +131,18 @@ class TestOmegaConsistency:
         """# size-r subproblems in the built CDAG = (n/r)^{ω₀} exactly."""
         H = build_recursive_cdag(strassen(), 16)
         assert H.num_subproblems(4) == int(round((16 / 4) ** OMEGA0_STRASSEN))
+
+
+class TestTopLevelExports:
+    def test_canonical_names_importable_from_repro(self):
+        import repro
+
+        for name in (
+            "execute_tiled",
+            "execute_lru_trace",
+            "execute_recursive_bilinear",
+            "execute_abmm",
+            "execute_parallel_bfs",
+            "schedule",
+        ):
+            assert hasattr(repro, name), name

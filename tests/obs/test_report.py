@@ -280,43 +280,6 @@ class TestReportCli:
         assert "invalid sweep manifest" in capsys.readouterr().err
 
 
-class TestServeSection:
-    def test_daemon_directory_reports_breaker_and_backpressure(self, tmp_path):
-        """A serve dir (manifest written by the daemon) gets a Serving
-        section with the admission, breaker, and backpressure counters."""
-        from repro.serve import Daemon, QueueFull, ServeConfig
-
-        d = Daemon(ServeConfig(serve_dir=tmp_path / "serve", workers=1,
-                               queue_depth=1, wal_sync="off"))
-        params = {"alg": "strassen", "n": 8, "M": 48, "seed": 0, "replay": True}
-        d.submit("seq_io", params)
-        with pytest.raises(QueueFull):
-            d.submit("seq_io", dict(params, n=16))
-        d._dispatch(d.queue.get(timeout=1.0))
-        d.cached_answer("seq_io", params)  # one memory fast-path hit
-        d._flush_manifest(force=True)
-
-        report = build_report(tmp_path / "serve")
-        serve = report["serve"]
-        assert serve["submitted"] == 2
-        assert serve["accepted"] == 1
-        assert serve["rejected"] == 1
-        assert serve["jobs_done"] == 1
-        assert serve["cache_hits_mem"] == 1
-        assert serve["breaker"]["state"] == "closed"
-
-        rendered = render_report(report)
-        assert "## Serving (daemon)" in rendered
-        assert "1 rejected (backpressure)" in rendered
-        assert "breaker closed" in rendered
-
-    def test_plain_sweep_has_no_serve_section(self, tmp_path):
-        make_fixture_sweep(tmp_path)
-        report = build_report(tmp_path)
-        assert report["serve"] is None
-        assert "Serving" not in render_report(report)
-
-
 class TestEndToEnd:
     def test_report_on_real_sweep_sources_metrics_registry(self, tmp_path):
         """The acceptance criterion: a fresh engine sweep's report shows
