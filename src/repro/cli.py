@@ -113,7 +113,11 @@ def _cmd_eval(args) -> int:
     from repro.analysis.report import text_table
     from repro.bounds import evaluate_table1
 
-    entries = evaluate_table1(args.n, args.M, args.P)
+    try:
+        entries = evaluate_table1(args.n, args.M, args.P)
+    except ValueError as exc:  # a parameter point outside a bound's domain
+        print(f"eval: {exc}", file=sys.stderr)
+        return 2
     measured = (
         _measured_seq_io(args.n, args.M, args.backend) if args.backend else None
     )

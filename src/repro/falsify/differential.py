@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import MetricsRegistry, active_registry, collecting
+from repro.obs.metrics import active_registry, collecting
 
 __all__ = [
     "DifferentialProbe",
@@ -356,44 +356,51 @@ def _registry_seq_view(trace: dict) -> dict:
     }
 
 
-class _EventLog(MetricsRegistry):
-    """A registry that also keeps the ordered stream of machine transfers
-    (``machine.load`` / ``machine.store`` / ``machine.replay`` events)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.events: list[dict] = []
-
-    _TRANSFERS = {"machine.seq.load_words": "machine.load",
-                  "machine.seq.store_words": "machine.store"}
-
-    def inc(self, name: str, amount: float = 1) -> None:
-        super().inc(name, amount)
-        words = int(amount)
-        if name in self._TRANSFERS:
-            self.events.append({"event": self._TRANSFERS[name], "words": words})
-        elif name == "machine.seq.replay_read_words":
-            self.events.append({"event": "machine.replay", "reads": words})
-        elif name == "machine.seq.replay_write_words":  # published after reads
-            ev = self.events[-1]
-            ev.update(writes=words, words=ev["reads"] + words)
-
-
 def _capture_seq_events(alg_spec, n: int, M: int, replay: bool) -> list[dict]:
-    """Re-run a seq_io execution, returning its machine event stream."""
+    """Re-run a seq_io execution, returning its machine event stream: one
+    ``machine.load`` / ``machine.store`` / ``machine.replay`` event per
+    counted call, read off the machine's own calls (not the registry)."""
     import numpy as np
 
     from repro.engine.runners import resolve_algorithm
     from repro.execution.plan import run_plan, seq_io_plan
     from repro.machine.sequential import SequentialMachine
 
+    events: list[dict] = []
+
+    class RecordingMachine(SequentialMachine):
+        def load(self, name, into=None, copy=True):
+            buf = super().load(name, into, copy)
+            events.append({"event": "machine.load", "name": name, "words": buf.size})
+            return buf
+
+        def load_slice(self, name, idx, into, copy=True):
+            buf = super().load_slice(name, idx, into, copy)
+            events.append({"event": "machine.load", "name": name, "words": buf.size})
+            return buf
+
+        def store(self, name, to=None):
+            super().store(name, to)
+            events.append({"event": "machine.store", "name": to or name,
+                           "words": self.fast[name].size})
+
+        def store_slice(self, name, to, idx):
+            super().store_slice(name, to, idx)
+            events.append({"event": "machine.store", "name": to,
+                           "words": self.fast[name].size})
+
+        def charge_replayed_io(self, reads, writes, repeats, label="replay"):
+            super().charge_replayed_io(reads, writes, repeats, label)
+            r, w = int(reads * repeats), int(writes * repeats)
+            events.append({"event": "machine.replay", "name": label,
+                           "reads": r, "writes": w, "words": r + w})
+
     plan = seq_io_plan(resolve_algorithm(alg_spec), n, M)
     R, K, C = plan.root.shape
     rng = np.random.default_rng(0)
-    with collecting(_EventLog()) as log:
-        run_plan(SequentialMachine(M), plan, rng.standard_normal((R, K)),
-                 rng.standard_normal((K, C)), replay)
-    return log.events
+    run_plan(RecordingMachine(M), plan, rng.standard_normal((R, K)),
+             rng.standard_normal((K, C)), replay)
+    return events
 
 
 def _run_level_replay_probe(probe: DifferentialProbe) -> ProbeOutcome:

@@ -19,16 +19,21 @@ Two accounting guarantees hold:
   :class:`StrictAccountingError`.  This is the guard against the classic
   under-accounting bug where an execution charges 3 tiles but numpy
   silently holds a fourth.
+
+The ``machine.seq.*`` metrics (docs/observability.md) are tallied at every
+transfer in a lock-free :class:`_TransferLedger` bound to the active
+:class:`~repro.obs.metrics.MetricsRegistry`, and published when that
+registry drains it (before any snapshot read).
 """
 
 from __future__ import annotations
 
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import MetricsRegistry, active_registry
 
 __all__ = [
     "SequentialMachine",
@@ -36,14 +41,57 @@ __all__ = [
     "StrictAccountingError",
 ]
 
-def _publish_transfer(direction: str, words: int) -> None:
-    """One counted transfer's typed metrics (machine.seq.*, see
-    docs/observability.md), if a MetricsRegistry is active."""
-    reg = active_registry()
-    if reg is not None:
-        reg.inc(f"machine.seq.{direction}s")
-        reg.inc(f"machine.seq.{direction}_words", words)
-        reg.observe("machine.seq.transfer_words", words)
+#: What non-strict :meth:`SequentialMachine.compute` returns: one shared,
+#: reusable no-op context instead of a generator per call.
+_NO_GUARD = nullcontext()
+
+
+class _TransferLedger:
+    """A machine's ``machine.seq.*`` tallies for one registry binding.
+
+    Plain ints and ``{transfer size: count}`` dicts, no lock.  The ledger
+    queues its :meth:`flush` on ``registry`` when created; the registry
+    runs it before its next read.  Flushing publishes the totals and
+    unbinds the ledger, so the owning machine starts a fresh ledger on its
+    next counted operation.  A ledger created while no registry is active
+    is never published.
+    """
+
+    __slots__ = ("registry", "loads", "stores", "peak", "replays",
+                 "replay_reads", "replay_writes")
+
+    def __init__(self, registry: MetricsRegistry | None) -> None:
+        self.registry = registry
+        self.loads: dict[int, int] = {}
+        self.stores: dict[int, int] = {}
+        self.peak: int | None = None  # machine peak at the last allocation
+        self.replays = 0
+        self.replay_reads = 0
+        self.replay_writes = 0
+        if registry is not None:
+            registry.defer(self.flush)
+
+    def flush(self) -> None:
+        reg, self.registry = self.registry, None
+        if reg is None:
+            return
+        for direction, sizes in (("load", self.loads), ("store", self.stores)):
+            if sizes:
+                reg.inc(f"machine.seq.{direction}s", sum(sizes.values()))
+                reg.inc(f"machine.seq.{direction}_words",
+                        sum(w * k for w, k in sizes.items()))
+                reg.observe_counts("machine.seq.transfer_words", sizes)
+        if self.peak is not None:
+            reg.gauge_max("machine.seq.peak_fast_words", self.peak)
+        if self.replays:
+            reg.inc("machine.seq.replays", self.replays)
+            reg.inc("machine.seq.replay_words", self.replay_reads + self.replay_writes)
+            # Direction-split replay counters: with these, the registry is a
+            # complete independent ledger of words_read/words_written even in
+            # replay mode — the third counter of the differential executor
+            # (repro.falsify.differential).
+            reg.inc("machine.seq.replay_read_words", self.replay_reads)
+            reg.inc("machine.seq.replay_write_words", self.replay_writes)
 
 
 class FastMemoryOverflow(RuntimeError):
@@ -94,6 +142,7 @@ class SequentialMachine:
         self.words_read = 0
         self.words_written = 0
         self.peak_fast_words = 0
+        self._led = _TransferLedger(None)
 
     # ------------------------------------------------------------------ #
     # slow-memory staging (uncounted: modelling the initial input layout)
@@ -118,6 +167,22 @@ class SequentialMachine:
     # ------------------------------------------------------------------ #
     # counted transfers
     # ------------------------------------------------------------------ #
+    def _ledger(self) -> _TransferLedger:
+        """The ledger bound to the active registry.  A fresh one starts
+        when the registry drained the old ledger or the active registry
+        changed; the old ledger then stays queued on its own registry."""
+        led = self._led
+        reg = active_registry()
+        if led.registry is not reg:
+            led = self._led = _TransferLedger(reg)
+        return led
+
+    def _tally(self, store: bool, words: int) -> None:
+        """Count one transfer of ``words`` words in the ledger."""
+        led = self._ledger()
+        sizes = led.stores if store else led.loads
+        sizes[words] = sizes.get(words, 0) + 1
+
     def _charge_alloc(self, words: int) -> None:
         # The machine-level invariant: fast_words ≤ M on every allocation.
         if self.fast_words + words > self.M:
@@ -125,10 +190,9 @@ class SequentialMachine:
                 f"fast memory overflow: {self.fast_words} + {words} > M={self.M}"
             )
         self.fast_words += words
-        self.peak_fast_words = max(self.peak_fast_words, self.fast_words)
-        reg = active_registry()
-        if reg is not None:
-            reg.gauge_max("machine.seq.peak_fast_words", self.peak_fast_words)
+        if self.fast_words > self.peak_fast_words:
+            self.peak_fast_words = self.fast_words
+        self._ledger().peak = self.peak_fast_words
 
     def assert_invariant(self) -> None:
         """Re-check peak_fast_words ≤ M and fast dict consistency (cheap)."""
@@ -160,7 +224,7 @@ class SequentialMachine:
             buf.flags.writeable = False
         self.fast[into or name] = buf
         self.words_read += arr.size
-        _publish_transfer("load", int(arr.size))
+        self._tally(False, arr.size)
         return buf
 
     def load_slice(self, name: str, idx, into: str, copy: bool = True) -> np.ndarray:
@@ -177,7 +241,7 @@ class SequentialMachine:
             buf.flags.writeable = False
         self.fast[into] = buf
         self.words_read += chunk.size
-        _publish_transfer("load", int(chunk.size))
+        self._tally(False, chunk.size)
         return buf
 
     def allocate(self, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -192,14 +256,14 @@ class SequentialMachine:
         buf = self.fast[name]
         self.slow[to or name] = buf.copy()
         self.words_written += buf.size
-        _publish_transfer("store", int(buf.size))
+        self._tally(True, buf.size)
 
     def store_slice(self, name: str, to: str, idx) -> None:
         """Write a fast buffer into a slice of a slow array; costs buffer size."""
         buf = self.fast[name]
         self.slow[to][idx] = buf
         self.words_written += buf.size
-        _publish_transfer("store", int(buf.size))
+        self._tally(True, buf.size)
 
     def free(self, name: str) -> None:
         """Drop a fast buffer (free: eviction of a clean/dead value)."""
@@ -213,16 +277,15 @@ class SequentialMachine:
     # ------------------------------------------------------------------ #
     # compute guard (strict-mode temporary instrumentation)
     # ------------------------------------------------------------------ #
-    @contextmanager
     def compute(self, scratch_words: int = 0):
         """Wrap fast-memory arithmetic; in strict mode, police temporaries.
 
         Out-of-core executions put *every* arithmetic step on fast buffers
         inside ``with machine.compute():``.  Outside strict mode this is
-        free (a bare yield).  In strict mode the block is measured with
-        :mod:`tracemalloc` (numpy routes array data through it): if the
-        block's peak allocation exceeds ``scratch_words`` words +
-        ``strict_slack_bytes``, some operation materialized a buffer the
+        free (a shared no-op context).  In strict mode the block is
+        measured with :mod:`tracemalloc` (numpy routes array data through
+        it): if the block's peak allocation exceeds ``scratch_words`` words
+        + ``strict_slack_bytes``, some operation materialized a buffer the
         machine never charged — exactly the ``c += a @ b`` bug class — and
         :class:`StrictAccountingError` is raised.
 
@@ -230,8 +293,11 @@ class SequentialMachine:
         charged (rare; prefer machine-allocated scratch buffers).
         """
         if not self.strict:
-            yield
-            return
+            return _NO_GUARD
+        return self._strict_compute(scratch_words)
+
+    @contextmanager
+    def _strict_compute(self, scratch_words: int):
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
@@ -270,16 +336,10 @@ class SequentialMachine:
             raise ValueError("replay charges must be non-negative")
         self.words_read += reads * repeats
         self.words_written += writes * repeats
-        reg = active_registry()
-        if reg is not None:
-            reg.inc("machine.seq.replays")
-            reg.inc("machine.seq.replay_words", int((reads + writes) * repeats))
-            # Direction-split replay counters: with these, the registry is a
-            # complete independent ledger of words_read/words_written even in
-            # replay mode — the third counter of the differential executor
-            # (repro.falsify.differential).
-            reg.inc("machine.seq.replay_read_words", int(reads * repeats))
-            reg.inc("machine.seq.replay_write_words", int(writes * repeats))
+        led = self._ledger()
+        led.replays += 1
+        led.replay_reads += int(reads * repeats)
+        led.replay_writes += int(writes * repeats)
 
     def consume_ir(self, ir) -> dict:
         """Charge a lowered :class:`repro.schedule.ir.ScheduleIR` op stream.
@@ -310,11 +370,11 @@ class SequentialMachine:
                 self._charge_alloc(op.words)
                 self.words_read += op.words
                 r = op.words
-                _publish_transfer("load", op.words)
+                self._tally(False, op.words)
             elif op.kind is OpKind.STORE:
                 self.words_written += op.words
                 w = op.words
-                _publish_transfer("store", op.words)
+                self._tally(True, op.words)
             elif op.kind is OpKind.ALLOC:
                 self._charge_alloc(op.words)
             elif op.kind is OpKind.FREE:

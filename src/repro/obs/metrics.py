@@ -27,13 +27,21 @@ fingerprint guarantee extends to the metrics layer.
 Histograms use **exact integer bucket boundaries** (powers of two by
 default): observations are tallied with integer comparisons only, so the
 bucket counts are exact — no floating-point bucket-edge ambiguity.
+
+Deferred ledgers
+----------------
+A hot path may keep its tallies in plain local ints and hand the registry
+a *flusher* (:meth:`MetricsRegistry.defer`) instead of publishing every
+event.  Every read (:meth:`~MetricsRegistry.to_dict`, ``value``,
+``names``, ``len``, ``merge``) first drains the queued flushers, so a
+snapshot never misses a deferred tally; drained flushers are released.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
     "Counter",
@@ -107,15 +115,24 @@ class Histogram:
         self.vmax: float | None = None
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
+        self.observe_many(value, 1)
+
+    def observe_many(self, value: float, k: int) -> None:
+        """``k`` observations of ``value`` at once: the same tallies as
+        ``k`` calls of :meth:`observe` (exact for integer values)."""
+        if k < 0:
+            raise ValueError(f"observation count must be >= 0, got {k}")
+        if k == 0:
+            return
+        self.count += k
+        self.total += value * k
         self.vmin = value if self.vmin is None else min(self.vmin, value)
         self.vmax = value if self.vmax is None else max(self.vmax, value)
         for i, bound in enumerate(self.buckets):
             if value <= bound:
-                self.counts[i] += 1
+                self.counts[i] += k
                 return
-        self.overflow += 1
+        self.overflow += k
 
     def to_dict(self) -> dict:
         return {
@@ -144,6 +161,23 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._pending: list[Callable[[], None]] = []
+
+    # -- deferred ledgers ----------------------------------------------- #
+    def defer(self, flush: Callable[[], None]) -> None:
+        """Queue ``flush`` to run once, before the next read of this
+        registry; it publishes a local ledger's tallies through the
+        normal accessors."""
+        with self._lock:
+            self._pending.append(flush)
+
+    def _drain(self) -> None:
+        """Run and release every queued flusher (outside the lock: the
+        flushers publish through the locking accessors)."""
+        with self._lock:
+            pending, self._pending = self._pending, []
+        for flush in pending:
+            flush()
 
     # -- typed accessors ------------------------------------------------ #
     def _check_free(self, name: str, kind: str) -> None:
@@ -197,9 +231,18 @@ class MetricsRegistry:
     def observe(self, name: str, value: float, buckets=DEFAULT_BUCKETS) -> None:
         self.histogram(name, buckets).observe(value)
 
+    def observe_counts(
+        self, name: str, counts: Mapping[float, int], buckets=DEFAULT_BUCKETS
+    ) -> None:
+        """Observe each ``value`` of ``counts`` ``counts[value]`` times."""
+        hist = self.histogram(name, buckets)
+        for value, k in counts.items():
+            hist.observe_many(value, k)
+
     # -- reading -------------------------------------------------------- #
     def value(self, name: str, default: float = 0) -> float:
         """Current value of a counter or gauge (histograms have no scalar)."""
+        self._drain()
         if name in self._counters:
             return self._counters[name].value
         if name in self._gauges:
@@ -207,16 +250,19 @@ class MetricsRegistry:
         return default
 
     def names(self) -> list[str]:
+        self._drain()
         return sorted(
             list(self._counters) + list(self._gauges) + list(self._histograms)
         )
 
     def __len__(self) -> int:
+        self._drain()
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
     # -- serialization -------------------------------------------------- #
     def to_dict(self) -> dict:
         """JSON-safe snapshot: deterministic (sorted), timestamp-free."""
+        self._drain()
         with self._lock:
             return {
                 "counters": {
@@ -249,6 +295,7 @@ class MetricsRegistry:
     def merge(self, snapshot: Mapping[str, Any]) -> None:
         """Fold another registry's snapshot in: counters and histogram
         tallies add, gauges keep the maximum (peak semantics)."""
+        self._drain()
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in snapshot.get("gauges", {}).items():

@@ -152,6 +152,44 @@ class TestEventLocalization:
         metrics, _, _ = execute_point(seq_io_point(alg, 16, 48).to_dict())
         assert sum(ev["words"] for ev in fine) == metrics["io"]
 
+    def test_injected_replay_drift_is_localized(self, monkeypatch):
+        """An executor whose replay charges one read too many: the level
+        replay probe disagrees, and the localizer names the first replay
+        event, whose checkpoint the full stream cannot hit."""
+        import repro.execution.plan as plan_mod
+        from repro.falsify.differential import (
+            _capture_seq_events,
+            _run_level_replay_probe,
+        )
+
+        run_passes = plan_mod._run_passes
+
+        def drifting(machine, node, label, replay, run_pass):
+            charge = machine.charge_replayed_io
+            machine.charge_replayed_io = (
+                lambda reads, writes, repeats, label="replay":
+                charge(reads + 1, writes, repeats, label)
+            )
+            try:
+                run_passes(machine, node, label, replay, run_pass)
+            finally:
+                del machine.charge_replayed_io
+
+        monkeypatch.setattr(plan_mod, "_run_passes", drifting)
+        out = _run_level_replay_probe(
+            DifferentialProbe("level_replay", {"alg": "classical", "n": 16, "M": 48})
+        )
+        assert not out.agree
+        assert out.counters["level_replay"]["reads"] > out.counters["full"]["reads"]
+        coarse = _capture_seq_events(None, 16, 48, replay=True)
+        first_replay = next(
+            i for i, ev in enumerate(coarse) if ev["event"] == "machine.replay"
+        )
+        div = out.divergence
+        assert div["where"] == "event" and div["index"] == first_replay
+        assert div["event"]["event"] == "machine.replay"
+        assert div["expected_cumulative"] != div["got_cumulative"]
+
 
 class TestRowLocalization:
     def test_real_kernels_never_diverge(self):

@@ -74,6 +74,23 @@ class TestCLI:
         err = capsys.readouterr().err
         assert why in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv,why", [
+        (["eval", "64", "0", "1"], "parameters must be positive"),
+        (["eval", "64", "48", "0"], "parameters must be positive"),
+        (["eval", "64", "48", "-3"], "parameters must be positive"),
+        (["eval", "0", "48", "1"], "parameters must be positive"),
+        (["eval", "-8", "48", "1", "--json"], "parameters must be positive"),
+        (["eval", "64", "1", "1"], "needs M >= 2"),
+        (["eval", "64", "0", "1", "--backend", "reference"], "parameters must be positive"),
+    ])
+    def test_eval_bad_point_is_usage_error(self, capsys, argv, why):
+        """A Table I point outside the bounds' domain is a usage error:
+        exit 2, one line, no traceback, nothing measured."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert why in captured.err and len(captured.err.strip().splitlines()) == 1
+
 
 class TestCLIJson:
     def test_table1_json(self, capsys):

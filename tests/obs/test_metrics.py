@@ -70,6 +70,18 @@ class TestHistogram:
     def test_default_buckets_are_powers_of_two(self):
         assert all(b == 2 ** (2 * i) for i, b in enumerate(DEFAULT_BUCKETS))
 
+    def test_observe_many_equals_repeated_observe(self):
+        tallies = {0: 2, 3: 5, 16: 1, 17: 4, 1 << 41: 3}
+        one_by_one, batched = Histogram(), Histogram()
+        for value, k in tallies.items():
+            for _ in range(k):
+                one_by_one.observe(value)
+            batched.observe_many(value, k)
+        batched.observe_many(99, 0)  # no observation: min/max untouched
+        assert batched.to_dict() == one_by_one.to_dict()
+        with pytest.raises(ValueError):
+            batched.observe_many(4, -1)
+
 
 class TestSnapshots:
     def test_to_dict_sorted_and_json_safe(self):
@@ -91,6 +103,23 @@ class TestSnapshots:
             return reg.to_dict()
 
         assert make() == make()
+
+    def test_every_read_drains_deferred_flushers(self):
+        reg = MetricsRegistry()
+        pending = {"c": 3}
+
+        def flush():
+            for name, amount in pending.items():
+                reg.inc(name, amount)
+            pending.clear()
+
+        for read in (reg.to_dict, reg.names, len, lambda: reg.value("c"),
+                     lambda: reg.merge({})):
+            pending["c"] = 3
+            reg.defer(flush)
+            read(reg) if read is len else read()
+            assert not pending and reg._pending == []
+        assert reg.value("c") == 15
 
     def test_round_trip_through_from_dict(self):
         reg = MetricsRegistry()

@@ -167,3 +167,23 @@ class TestMemoizedSubtree:
         s1 = memoized_subtree_schedule(rc, 10)
         s2 = memoized_subtree_schedule(rc, 10)
         assert s1.moves == s2.moves
+
+
+class TestKnownGapGrid3x3:
+    """A recorded gap: on grid-3x3 at M=3 the beam search and the
+    portfolio stop one I/O above the exact optimum at every beam width.
+    (The atlas certifies grid-3x3 only at M=4.)  A scheduler change that
+    closes the gap must update these pins."""
+
+    def test_optimum_is_five(self):
+        assert optimal_io(grid_cdag(3, 3), 3) == 5
+
+    @pytest.mark.parametrize("width", [8, 32, 256])
+    def test_beam_stops_at_six(self, width):
+        sched = beam_search_schedule(grid_cdag(3, 3), 3, beam_width=width)
+        assert exact_cost_agreement(sched, 3)["io"] == 6
+
+    def test_portfolio_stops_at_six(self):
+        res = portfolio_schedule(grid_cdag(3, 3), 3)
+        assert res.io == 6
+        assert validate_schedule(res.schedule, 3)["io"] == 6
