@@ -293,6 +293,15 @@ def parallel_comm_point(
     return ExperimentPoint("parallel_comm", params)
 
 
+def _check_pebble_params(M: int, read_cost: float, write_cost: float) -> None:
+    """Reject a pebbling point's M or costs before the point is dispatched."""
+    from repro.pebbling.game import PebbleCost
+
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    PebbleCost(float(read_cost), float(write_cost))
+
+
 def pebble_optimal_point(
     family: str,
     M: int,
@@ -307,7 +316,14 @@ def pebble_optimal_point(
     Families: "recompute_wins" (gadgets, flush_length), "binary_tree"
     (depth), "diamond_chain" (length), "base_case_slice" (alg, output_index,
     style) — the Strassen sub-CDAG slices of the E7 study.
+
+    Raises ``ValueError`` at construction, before any dispatch, for
+    M < 1, ``max_states`` < 1 or a cost
+    :class:`~repro.pebbling.game.PebbleCost` rejects.
     """
+    _check_pebble_params(M, read_cost, write_cost)
+    if max_states < 1:
+        raise ValueError(f"max_states must be >= 1, got {max_states}")
     return ExperimentPoint(
         "pebble_optimal",
         {
@@ -340,7 +356,11 @@ def pebble_search_point(
     are those of :func:`pebble_optimal_point` plus "grid" (rows, cols),
     "fft" (n) and "zoo_recursive" (alg, n, style) — the recursive
     H^{n×n} of any zoo algorithm, far past the exhaustive 62-vertex cap.
+
+    Raises ``ValueError`` at construction for M < 1 or a bad cost, as
+    :func:`pebble_optimal_point` does.
     """
+    _check_pebble_params(M, read_cost, write_cost)
     return ExperimentPoint(
         "pebble_search",
         {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -59,6 +60,17 @@ class PebbleCost:
 
     read_cost: float = 1.0
     write_cost: float = 1.0
+
+    def __post_init__(self) -> None:
+        # The exact search is Dijkstra/A*: a negative, NaN or infinite edge
+        # weight would make it return a wrong optimum or a false proof of
+        # infeasibility.
+        for name in ("read_cost", "write_cost"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}"
+                )
 
     def io(self, loads: int, stores: int) -> float:
         return loads * self.read_cost + stores * self.write_cost

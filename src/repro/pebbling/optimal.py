@@ -1,21 +1,31 @@
-"""Exact minimum-I/O red-blue pebbling via Dijkstra over game states.
+"""Exact minimum-I/O red-blue pebbling via A* over game states.
 
-State = (red bitmask, blue bitmask[, computed bitmask when recomputation is
-forbidden]).  Moves and costs follow :mod:`repro.pebbling.game`; compute and
-evict are free, so this is a shortest-path problem with non-negative edge
-weights.  Normalizations that preserve optimality and shrink the space:
+State = red | blue << n | computed << 2n, packed into one int (the computed
+bits exist only when recomputation is forbidden).  Moves and costs follow
+:mod:`repro.pebbling.game`; compute and evict are free, so this is a
+shortest-path problem with non-negative edge weights.  Normalizations that
+preserve optimality and shrink the space:
 
 * evict only when fast memory is full (lazy eviction),
 * never load a red vertex, never store a blue one,
 * never compute a vertex that is currently red.
 
+States are ranked by g + h with a consistent *forced-load* bound
+(:func:`_forced_load_bound`): one store per output not yet blue, plus one
+load per distinct input that is not red and feeds, through vertices neither
+red nor blue, an output neither red nor blue.  Without recomputation a
+state that must compute an already-computed vertex again is dead and is
+never pushed.  :func:`optimal_io` and :func:`optimal_schedule` share the one
+loop; parent pointers are kept only for the latter.
+
 The search is exponential — it exists to *certify* small instances: the
 recomputation-wins gadget, tiny trees/diamonds, and the 2×2 base-case CDAG.
-A ``max_states`` fuse raises :class:`SearchExhausted` rather than letting a
-too-large instance hang; a CDAG that admits *no* complete pebbling at the
-given M (the heap drains) raises :class:`Infeasible` instead — the two used
-to be conflated under one exception, which made "raise the fuse" look like
-a fix for structurally impossible instances.
+A ``max_states`` fuse (a count of expanded states) raises
+:class:`SearchExhausted` rather than letting a too-large instance hang; a
+CDAG that admits *no* complete pebbling at the given M (the heap drains)
+raises :class:`Infeasible` instead — the two used to be conflated under one
+exception, which made "raise the fuse" look like a fix for structurally
+impossible instances.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ import heapq
 
 from repro.cdag.core import CDAG
 from repro.pebbling.game import Move, MoveKind, PebbleCost, Schedule
+
+INFINITY = float("inf")
 
 __all__ = [
     "optimal_io",
@@ -51,8 +63,8 @@ class Infeasible(RuntimeError):
 def writeback_lower_bound(blue: int, output_mask: int, write_cost: float) -> float:
     """Admissible h: every output still missing a blue pebble costs ≥ one store.
 
-    Shared by the exact search and the beam search in
-    :mod:`repro.pebbling.search` — both rank states by g + h with this h.
+    The beam search in :mod:`repro.pebbling.search` ranks states by g + h
+    with this h; the exact search's own bound adds forced loads to it.
     """
     return write_cost * bin(output_mask & ~blue).count("1")
 
@@ -95,6 +107,59 @@ def optimal_schedule(
     return io, sched
 
 
+def _masks(cdag: CDAG) -> tuple[list[int], int, int]:
+    """Predecessor bitmask per vertex, and the input and output bitmasks."""
+    g = cdag.graph
+    pred_mask = [0] * cdag.num_vertices
+    for v in range(cdag.num_vertices):
+        for u in g.predecessors(v):
+            pred_mask[v] |= 1 << u
+    input_mask = 0
+    for v in cdag.inputs:
+        input_mask |= 1 << v
+    output_mask = 0
+    for v in cdag.outputs:
+        output_mask |= 1 << v
+    return pred_mask, input_mask, output_mask
+
+
+def _forced_load_bound(
+    red: int,
+    blue: int,
+    computed: int,
+    pred_mask: list[int],
+    input_mask: int,
+    output_mask: int,
+    cost: PebbleCost,
+) -> float:
+    """Admissible (and consistent) h for the exact search.
+
+    Every output without a blue pebble costs one store.  An output that is
+    neither red nor blue must still be computed, and so must every vertex
+    feeding it through vertices that are neither red nor blue; each input
+    that feeds that set and is not red must be loaded again (inputs cannot
+    be computed), one load per distinct input.  ``computed`` holds the
+    computed bits when recomputation is forbidden (0 otherwise): a state in
+    which a vertex of that set was already computed can never finish, and
+    its bound is infinite.
+    """
+    pebbled = red | blue
+    need = frontier = output_mask & ~pebbled
+    feeds = 0
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        preds = pred_mask[bit.bit_length() - 1]
+        feeds |= preds
+        new = preds & ~pebbled & ~need
+        need |= new
+        frontier |= new
+    if need & computed:
+        return INFINITY
+    return (cost.write_cost * (output_mask & ~blue).bit_count()
+            + cost.read_cost * (feeds & input_mask & ~red).bit_count())
+
+
 def _search(
     cdag: CDAG,
     M: int,
@@ -108,37 +173,40 @@ def _search(
         raise ValueError("optimal search is limited to ≤ 62 vertices (bitmask state)")
     if M < 1:
         raise ValueError("M must be >= 1")
-    g = cdag.graph
-    pred_mask = [0] * n
-    for v in range(n):
-        for u in g.predecessors(v):
-            pred_mask[v] |= 1 << u
-    input_mask = 0
-    for v in cdag.inputs:
-        input_mask |= 1 << v
-    output_mask = 0
-    for v in cdag.outputs:
-        output_mask |= 1 << v
-    non_inputs = [v for v in range(n) if not (input_mask >> v) & 1]
-
+    pred_mask, input_mask, output_mask = _masks(cdag)
+    read_c, write_c = cost.read_cost, cost.write_cost
     track_computed = not allow_recompute
-    start = (0, input_mask, 0) if track_computed else (0, input_mask)
-    best: dict[tuple, float] = {start: 0.0}
-    # parent[state] = (previous state, move that produced state); only
-    # populated when a witness is requested.
-    parent: dict[tuple, tuple[tuple, Move]] = {}
-    # heap entries: (f = g + h, g, state); h = stores still needed for outputs
-    def h_of(blue: int) -> float:
-        return writeback_lower_bound(blue, output_mask, cost.write_cost)
+    # Packed state: red | blue << n | computed << 2n (computed bits only
+    # when recomputation is forbidden; otherwise they stay zero).
+    full = (1 << n) - 1
+    done_shift = 2 * n
+    # (red bit, predecessor mask, bits a compute sets in the packed state)
+    computes = [
+        (1 << v, pred_mask[v],
+         (1 << v) | (1 << (v + done_shift) if track_computed else 0))
+        for v in range(n)
+        if not (input_mask >> v) & 1
+    ]
 
-    heap = [(h_of(input_mask), 0.0, start)]
+    start = input_mask << n
+    best: dict[int, float] = {start: 0.0}
+    # parent[state] = (previous state, move kind, vertex bit); only
+    # populated when a witness is requested.
+    parent: dict[int, tuple[int, MoveKind, int]] = {}
+    # heap entries: (f = g + h, -g, state) -- ties on f pop the deeper
+    # state first, which reaches a goal in far fewer pops
+    heap = [(_forced_load_bound(0, input_mask, 0, pred_mask, input_mask,
+                                output_mask, cost), 0.0, start)]
     popped = 0
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     while heap:
-        f, dist, state = heapq.heappop(heap)
-        if best.get(state, float("inf")) < dist:
+        _, neg_dist, state = heappop(heap)
+        dist = -neg_dist
+        if best[state] < dist:
             continue
-        red, blue = state[0], state[1]
+        red = state & full
+        blue = (state >> n) & full
         if (blue & output_mask) == output_mask:
             return dist, _reconstruct(cdag, parent, state) if witness else None
         popped += 1
@@ -147,53 +215,47 @@ def _search(
                 f"optimal pebbling search exceeded {max_states} states "
                 f"(V={n}, M={M})"
             )
-        red_count = bin(red).count("1")
-        computed = state[2] if track_computed else 0
-
-        def push(nred: int, nblue: int, ncomputed: int, ndist: float,
-                 move: Move) -> None:
-            nstate = (nred, nblue, ncomputed) if track_computed else (nred, nblue)
-            if ndist < best.get(nstate, float("inf")):
-                best[nstate] = ndist
-                if witness:
-                    parent[nstate] = (state, move)
-                heapq.heappush(heap, (ndist + h_of(nblue), ndist, nstate))
-
-        if red_count < M:
+        computed = state >> done_shift
+        # successors as (packed state, cost so far, move kind, vertex bit)
+        succ = []
+        if red.bit_count() < M:
             # loads: any blue, non-red vertex
             rem = blue & ~red
             while rem:
                 bit = rem & -rem
                 rem ^= bit
-                v = bit.bit_length() - 1
-                push(red | bit, blue, computed, dist + cost.read_cost,
-                     Move(MoveKind.LOAD, v))
-            # computes
-            for v in non_inputs:
-                bit = 1 << v
-                if red & bit:
-                    continue
-                if (pred_mask[v] & red) != pred_mask[v]:
-                    continue
-                if track_computed and (computed >> v) & 1:
-                    continue
-                push(red | bit, blue, computed | (1 << v) if track_computed else 0,
-                     dist, Move(MoveKind.COMPUTE, v))
+                succ.append((state | bit, dist + read_c, MoveKind.LOAD, bit))
+            # computes: a non-red, non-input vertex whose predecessors are red
+            for bit, preds, sets in computes:
+                if (not red & bit and preds & red == preds
+                        and not computed & bit):
+                    succ.append((state | sets, dist, MoveKind.COMPUTE, bit))
         else:
             # fast memory full: evictions (free)
             rem = red
             while rem:
                 bit = rem & -rem
                 rem ^= bit
-                push(red & ~bit, blue, computed, dist,
-                     Move(MoveKind.EVICT, bit.bit_length() - 1))
+                succ.append((state ^ bit, dist, MoveKind.EVICT, bit))
         # stores: any red, non-blue vertex (allowed regardless of fullness)
         rem = red & ~blue
         while rem:
             bit = rem & -rem
             rem ^= bit
-            push(red, blue | bit, computed, dist + cost.write_cost,
-                 Move(MoveKind.STORE, bit.bit_length() - 1))
+            succ.append((state | (bit << n), dist + write_c, MoveKind.STORE, bit))
+
+        for nstate, ndist, kind, bit in succ:
+            if ndist >= best.get(nstate, INFINITY):
+                continue
+            best[nstate] = ndist
+            h = _forced_load_bound(nstate & full, (nstate >> n) & full,
+                                   nstate >> done_shift, pred_mask,
+                                   input_mask, output_mask, cost)
+            if h == INFINITY:
+                continue  # dead: a vertex still needed was already computed
+            if witness:
+                parent[nstate] = (state, kind, bit)
+            heappush(heap, (ndist + h, -ndist, nstate))
 
     raise Infeasible(
         f"no complete pebbling exists for CDAG {cdag.name!r} with M={M} "
@@ -202,13 +264,13 @@ def _search(
 
 
 def _reconstruct(
-    cdag: CDAG, parent: dict[tuple, tuple[tuple, Move]], goal: tuple
+    cdag: CDAG, parent: dict[int, tuple[int, MoveKind, int]], goal: int
 ) -> Schedule:
     """Walk the parent chain back from the goal state into a move list."""
     moves: list[Move] = []
     state = goal
     while state in parent:
-        state, move = parent[state]
-        moves.append(move)
+        state, kind, bit = parent[state]
+        moves.append(Move(kind, bit.bit_length() - 1))
     moves.reverse()
     return Schedule(cdag, moves)

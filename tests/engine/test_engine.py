@@ -106,6 +106,51 @@ class TestPebbleSearchPoint:
         assert second.metrics == first.metrics
 
 
+class TestPebblePointBoundary:
+    """Bad pebbling parameters are rejected when the point is built, so a
+    sweep never dispatches them (M=0 used to come back as a worker
+    ``error: M must be >= 1``)."""
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"M": 0}, "M must be >= 1"),
+            ({"M": -3}, "M must be >= 1"),
+            ({"M": 3, "max_states": 0}, "max_states must be >= 1"),
+            ({"M": 3, "read_cost": -1.0}, "read_cost"),
+            ({"M": 3, "write_cost": float("nan")}, "write_cost"),
+            ({"M": 3, "read_cost": float("inf")}, "read_cost"),
+        ],
+    )
+    def test_optimal_point_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            pebble_optimal_point("binary_tree", depth=2, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"M": 0}, "M must be >= 1"),
+            ({"M": 3, "write_cost": -2.0}, "write_cost"),
+            ({"M": 3, "read_cost": float("nan")}, "read_cost"),
+        ],
+    )
+    def test_search_point_rejected(self, kwargs, match):
+        from repro.engine import pebble_search_point
+
+        with pytest.raises(ValueError, match=match):
+            pebble_search_point("binary_tree", depth=2, **kwargs)
+
+    def test_bad_point_never_reaches_run_sweep(self, monkeypatch):
+        import repro.engine as engine
+
+        dispatched = []
+        monkeypatch.setattr(engine, "run_sweep",
+                            lambda points, *a, **k: dispatched.extend(points))
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            engine.run_sweep([pebble_optimal_point("binary_tree", 0, depth=2)])
+        assert dispatched == []
+
+
 class TestRunSweep:
     def test_repeat_sweep_is_cache_served(self, tmp_path):
         cfg = EngineConfig(cache_dir=tmp_path)
